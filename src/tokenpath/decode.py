@@ -144,42 +144,67 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
 
     ``scores`` is (n+1, n+1) with node 0 the start and node i+1 token i.
     Partial paths are scored by the sum of log-sigmoid edge logits; only
-    unvisited tokens extend a path, so the result is always a permutation
-    of all n tokens. ``beam_size`` 1 is plain greedy successor selection.
+    unvisited tokens extend a path, so the result is a permutation of all n
+    tokens. ``beam_size`` 1 is plain greedy successor selection.
+
+    Each step keeps the ``beam_size`` best finite extensions, ranked by score
+    descending, then by the node extended to, then by the beam extended; the
+    result is the first best-scoring full path in that rank. A step costs
+    O(beam_size * n): one partition, then a stable sort of only the
+    extensions scoring at least the cut. ``+inf`` cells are certain edges
+    and ``-inf`` cells forbidden.
+
+    Raises ``ValueError`` if the grid holds NaN cells, or if at some step no
+    finite edge extends any kept path.
     """
     m = scores.shape[0]
     if scores.ndim != 2 or scores.shape[1] != m:
         raise ValueError(f"expected a square grid, got {scores.shape}")
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise ValueError(f"rop grid has {n_nan} NaN cells")
     n = m - 1
     if n == 0:
         return ()
-    logsig = -np.logaddexp(0.0, -scores)
+    # Costs are negated log-sigmoids, so a path's cost is minus its score and
+    # the best extensions are the cheapest. A step's candidates form an
+    # (m, beams) block whose row j holds every beam's extension to node j,
+    # so the flat index orders node, then beam; a visited node costs +inf.
+    cost = np.ascontiguousarray(np.logaddexp(0.0, -scores).T)
+    path_cost = np.zeros(1)
+    last = np.zeros(1, dtype=np.intp)
+    blocked = np.zeros((m, 1))
+    blocked[0] = np.inf
+    beams = np.arange(config.beam_size)
+    parents, nodes = [], []
+    for step in range(n):
+        cand = cost.take(last, axis=1)
+        cand += path_cost
+        cand += blocked
+        flat = cand.ravel()
+        width = min(config.beam_size, int(np.count_nonzero(flat < np.inf)))
+        if width == 0:
+            raise ValueError(f"no finite edge extends any path at step {step + 1} of {n}")
+        if width == 1:
+            top = flat.argmin(keepdims=True)
+        else:
+            # Visited cells are never finite, so width < flat.size.
+            kth = np.partition(flat, width - 1)[width - 1]
+            pool = np.flatnonzero(flat <= kth)
+            top = pool[np.argsort(flat[pool], kind="stable")[:width]]
+        last, parent = np.divmod(top, len(path_cost))
+        path_cost = flat[top]
+        blocked = blocked[:, parent]
+        blocked[last, beams[:width]] = np.inf
+        parents.append(parent)
+        nodes.append(last)
 
-    # beams: (score, last node, visited bool row, path)
-    beams = [(0.0, 0, np.zeros(m, dtype=bool), [])]
-    beams[0][2][0] = True
-    for _ in range(n):
-        cand_scores = []
-        cand_meta = []
-        for bi, (sc, last, visited, _) in enumerate(beams):
-            ext = logsig[last].copy()
-            ext[visited] = -np.inf
-            cand_scores.append(sc + ext)
-            cand_meta.append(bi)
-        flat = np.concatenate(cand_scores)
-        width = min(config.beam_size, int(np.isfinite(flat).sum()))
-        # Stable pick: score descending, then beam index, then node index.
-        top = np.lexsort((np.tile(np.arange(m), len(beams)), -flat))[:width]
-        new_beams = []
-        for pos in top:
-            bi, node = divmod(int(pos), m)
-            sc, last, visited, path = beams[bi]
-            nv = visited.copy()
-            nv[node] = True
-            new_beams.append((float(flat[pos]), node, nv, path + [node]))
-        beams = new_beams
-    best = max(beams, key=lambda b: b[0])
-    return tuple(v - 1 for v in best[3])
+    b = int(np.argmin(path_cost))
+    path = []
+    for parent, node in zip(reversed(parents), reversed(nodes)):
+        path.append(int(node[b]) - 1)
+        b = int(parent[b])
+    return tuple(reversed(path))
 
 
 def reorder(

@@ -29,6 +29,43 @@ def oracle(labels: np.ndarray) -> np.ndarray:
     return np.where(labels, 10.0, -10.0)
 
 
+def _reference_rop_decode(scores, config=DecodeConfig()):
+    """The per-beam loop ``rop_decode`` replaced, kept as its reference."""
+    m = scores.shape[0]
+    if scores.ndim != 2 or scores.shape[1] != m:
+        raise ValueError(f"expected a square grid, got {scores.shape}")
+    n = m - 1
+    if n == 0:
+        return ()
+    logsig = -np.logaddexp(0.0, -scores)
+
+    # beams: (score, last node, visited bool row, path)
+    beams = [(0.0, 0, np.zeros(m, dtype=bool), [])]
+    beams[0][2][0] = True
+    for _ in range(n):
+        cand_scores = []
+        cand_meta = []
+        for bi, (sc, last, visited, _) in enumerate(beams):
+            ext = logsig[last].copy()
+            ext[visited] = -np.inf
+            cand_scores.append(sc + ext)
+            cand_meta.append(bi)
+        flat = np.concatenate(cand_scores)
+        width = min(config.beam_size, int(np.isfinite(flat).sum()))
+        # Stable pick: score descending, then node index, then beam index.
+        top = np.lexsort((np.tile(np.arange(m), len(beams)), -flat))[:width]
+        new_beams = []
+        for pos in top:
+            bi, node = divmod(int(pos), m)
+            sc, last, visited, path = beams[bi]
+            nv = visited.copy()
+            nv[node] = True
+            new_beams.append((float(flat[pos]), node, nv, path + [node]))
+        beams = new_beams
+    best = max(beams, key=lambda b: b[0])
+    return tuple(v - 1 for v in best[3])
+
+
 class TestNerDecode:
     def test_two_paths_hand_case(self):
         s = grid_from_pairs(7, {(0, 1): 2.0, (1, 2): 1.5, (2, 6): 0.7,
@@ -222,6 +259,64 @@ class TestRopDecode:
         assert path_score(beam) >= path_score(greedy)
         assert beam != greedy
 
+    def test_equal_scores_rank_by_node_before_beam(self):
+        # Beams [1] and [2] tie; at step 2 their extensions [1]->2, [1]->3
+        # and [2]->1 tie for two places. Ranking node before beam keeps
+        # [2, 1] and [1, 2], and [2, 1, 3] wins; beam first would keep
+        # [1, 2] and [1, 3] and return (0, 2, 1).
+        s = np.full((4, 4), -5.0)
+        for a, b in [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1)]:
+            s[a, b] = 5.0
+        assert rop_decode(s, DecodeConfig(beam_size=2)) == (1, 0, 2)
+        assert rop_decode(s, DecodeConfig(beam_size=1)) == (0, 1, 2)
+
+    def test_nan_cells_rejected(self):
+        s = np.zeros((4, 4))
+        s[0] = np.nan
+        with pytest.raises(ValueError, match="4 NaN cells"):
+            rop_decode(s)
+        s = np.zeros((4, 4))
+        s[2, 1] = np.nan
+        with pytest.raises(ValueError, match="1 NaN cells"):
+            rop_decode(s, DecodeConfig(beam_size=1))
+
+    def test_no_finite_extension_names_the_step(self):
+        with pytest.raises(ValueError, match="step 1 of 3"):
+            rop_decode(np.full((4, 4), -np.inf))
+        # No edge enters node 3, so paths grow until only node 3 is left.
+        s = np.zeros((4, 4))
+        s[:, 3] = -np.inf
+        with pytest.raises(ValueError, match="step 3 of 3"):
+            rop_decode(s)
+
+    @pytest.mark.parametrize("beam", [1, 2, 8, 16])
+    def test_equals_reference_loop(self, beam):
+        cfg = DecodeConfig(beam_size=beam)
+        rng = np.random.default_rng(beam)
+        grids, inf_grids = [], []
+        for n in range(1, 41):
+            s = rng.normal(size=(n + 1, n + 1))
+            grids += [s, np.round(s)]  # rounding makes ties common
+            # Scattered certain and forbidden edges, with one full path kept
+            # finite; beam search may still walk into a dead end.
+            t = rng.normal(size=(n + 1, n + 1))
+            u = rng.random((n + 1, n + 1))
+            t[u < 0.15] = -np.inf
+            t[u > 0.95] = np.inf
+            nodes = np.concatenate([[0], rng.permutation(n) + 1])
+            t[nodes[:-1], nodes[1:]] = np.round(rng.normal(size=n))
+            inf_grids.append(t)
+        grids += [rng.normal(size=(129, 129)), rng.normal(size=(513, 513))]
+        for s in grids:
+            assert rop_decode(s, cfg) == _reference_rop_decode(s, cfg)
+        for t in inf_grids:
+            try:
+                want = _reference_rop_decode(t, cfg)
+            except ValueError:
+                with pytest.raises(ValueError, match="step"):
+                    rop_decode(t, cfg)
+            else:
+                assert rop_decode(t, cfg) == want
 
 class TestReorder:
     def test_untrained_params_still_a_permutation(self):
