@@ -11,7 +11,6 @@ from .core import (
     Corpus,
     Document,
     Entity,
-    EntityType,
     InputOrder,
     Segment,
     Word,

@@ -13,6 +13,7 @@ emitted as one JSON record per line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import struct
@@ -37,10 +38,8 @@ from .core import (
 )
 from .datagen import GenConfig, gen_corpus, shuffle_order
 from .decode import DecodeConfig, Prediction, decode_document, reorder
-from .scorer import EncoderConfig, load_checkpoint, save_checkpoint
+from .scorer import TASKS, EncoderConfig, load_checkpoint, save_checkpoint
 from .train import Hyper, train
-
-TASK_CHOICES = ("ner", "el", "rop", "bio")
 
 
 class CliError(ValueError):
@@ -201,6 +200,15 @@ def _load_checkpoint_checked(path: str):
         raise CliError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _naming(doc: Document):
+    """Re-raise a decoding ValueError with the id of the document it hit."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"document {doc.id}: {exc}") from exc
+
+
 def cmd_decode(args) -> int:
     raw = load_run_config(args.config)
     dcfg: DecodeConfig = build_section(raw, "decode")
@@ -217,7 +225,8 @@ def cmd_decode(args) -> int:
 
     def run(pair: tuple[int, Document]) -> Prediction:
         i, doc = pair
-        return decode_document(doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed))
+        with _naming(doc):
+            return decode_document(doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed))
 
     preds = _pmap(run, list(enumerate(docs)), args.workers)
     tmp, commit = _atomic_dir(args.out)
@@ -247,7 +256,8 @@ def cmd_reorder(args) -> int:
     dcfg = build_section(load_run_config(args.config), "decode")
 
     def run(doc: Document) -> Document:
-        return replace_order(doc, reorder(doc, params, dcfg))
+        with _naming(doc):
+            return replace_order(doc, reorder(doc, params, dcfg))
 
     docs = _pmap(run, list(corpus.documents), args.workers)
     tmp, commit = _atomic_dir(args.out)
@@ -376,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--task", required=True, choices=TASK_CHOICES)
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--corpus", required=True)
     common(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("decode", help="decode predictions with a checkpoint")
-    p.add_argument("--task", required=True, choices=TASK_CHOICES)
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
@@ -402,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reorder)
 
     p = sub.add_parser("eval", help="score predictions against gold")
-    p.add_argument("--task", required=True, choices=TASK_CHOICES)
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="test")

@@ -99,12 +99,6 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class EntityType:
-    name: str
-    id: int
-
-
-@dataclass(frozen=True)
 class Entity:
     """A typed token path: the order of ``word_indices`` is meaningful."""
 
@@ -284,10 +278,7 @@ def apply_order(
             f"order of length {len(perm)} is not a permutation of "
             f"{len(doc.words)} words"
         )
-    inv = [0] * len(perm)
-    for pos, word in enumerate(perm):
-        inv[word] = pos
-    return tuple(perm), tuple(inv)
+    return perm, InputOrder(perm).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +368,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def by_id(self, doc_id: str) -> Document:
-        for d in self.documents:
-            if d.id == doc_id:
-                return d
-        raise KeyError(doc_id)
 
     def split(self, name: str) -> tuple[Document, ...]:
         ids = set(self.splits.get(name, ()))

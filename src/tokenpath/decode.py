@@ -41,6 +41,12 @@ class DecodedEntity:
         return Entity(self.type_id, self.word_indices)
 
 
+def _reject_nan(scores: np.ndarray, task: str) -> None:
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise ValueError(f"{task} grid has {n_nan} NaN cells")
+
+
 def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> list[DecodedEntity]:
     """Greedy token-path extraction from per-type score grids (T, n, n).
 
@@ -53,9 +59,12 @@ def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> lis
     not absorbed into any path become singleton entities. Finally, entities
     across all types are ranked by mean edge score and capped at
     ``max_entities``.
+
+    Raises ``ValueError`` if the grids hold NaN cells.
     """
     if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
         raise ValueError(f"expected (types, n, n) scores, got {scores.shape}")
+    _reject_nan(scores, "ner")
     out: list[DecodedEntity] = []
     n = scores.shape[1]
     for t in range(scores.shape[0]):
@@ -124,9 +133,13 @@ def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> lis
 def el_decode(scores: np.ndarray, entities: Sequence[Entity]) -> list[tuple[int, int]]:
     """Mean-logit linking: entity A links to B iff the mean score over all
     (token of A, token of B) pairs is strictly positive. Returns index pairs
-    into ``entities``."""
+    into ``entities``.
+
+    Raises ``ValueError`` if the grid holds NaN cells.
+    """
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ValueError(f"expected one (n, n) grid, got {scores.shape}")
+    _reject_nan(scores, "el")
     links: list[tuple[int, int]] = []
     for ai, a in enumerate(entities):
         rows = np.asarray(a.word_indices)
@@ -160,9 +173,7 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
     m = scores.shape[0]
     if scores.ndim != 2 or scores.shape[1] != m:
         raise ValueError(f"expected a square grid, got {scores.shape}")
-    n_nan = int(np.isnan(scores).sum())
-    if n_nan:
-        raise ValueError(f"rop grid has {n_nan} NaN cells")
+    _reject_nan(scores, "rop")
     n = m - 1
     if n == 0:
         return ()

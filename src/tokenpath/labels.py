@@ -235,23 +235,3 @@ def bio_decode(
     flush()
     return entities
 
-
-# ---------------------------------------------------------------------------
-# Grid cache records
-# ---------------------------------------------------------------------------
-
-
-def grid_to_record(grid: np.ndarray) -> dict:
-    """Sparse record for one grid: {"n": int, "set_bits": [[from, to]]}."""
-    rows, cols = np.nonzero(grid)
-    return {
-        "n": int(grid.shape[0]),
-        "set_bits": [[int(a), int(b)] for a, b in zip(rows, cols)],
-    }
-
-
-def grid_from_record(rec: Mapping) -> np.ndarray:
-    grid = np.zeros((rec["n"], rec["n"]), dtype=bool)
-    for a, b in rec["set_bits"]:
-        grid[a, b] = True
-    return grid

@@ -232,15 +232,16 @@ def continuous_entity_rate(doc: Document, order: InputOrder | Sequence[int]) -> 
     in the entity's own direction. None when the document has no entities."""
     if not doc.entities:
         return None
-    perm = _as_sequence(order)
-    inv = {w: i for i, w in enumerate(perm)}
-    cont = sum(1 for e in doc.entities if _is_continuous(e, inv))
-    return cont / len(doc.entities)
+    return _continuous_count(doc, order) / len(doc.entities)
 
 
-def _is_continuous(entity: Entity, inv: Mapping[int, int]) -> bool:
-    ranks = [inv[w] for w in entity.word_indices]
-    return all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
+def _continuous_count(doc: Document, order: InputOrder | Sequence[int]) -> int:
+    rank = {w: i for i, w in enumerate(_as_sequence(order))}
+    count = 0
+    for e in doc.entities:
+        ranks = [rank[w] for w in e.word_indices]
+        count += all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
+    return count
 
 
 def corpus_continuous_entity_rate(
@@ -250,11 +251,9 @@ def corpus_continuous_entity_rate(
     excluded from the aggregate."""
     cont = total = 0
     for doc, order in zip(docs, orders):
-        if not doc.entities:
-            continue
-        inv = {w: i for i, w in enumerate(_as_sequence(order))}
-        cont += sum(1 for e in doc.entities if _is_continuous(e, inv))
-        total += len(doc.entities)
+        if doc.entities:
+            cont += _continuous_count(doc, order)
+            total += len(doc.entities)
     return cont / total if total else None
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,17 +81,7 @@ class EncoderConfig:
             raise ValueError(f"use_2d_position must be one of {_2D_MODES}")
 
     def to_record(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "vocab_buckets": self.vocab_buckets,
-            "use_1d_position": self.use_1d_position,
-            "use_2d_position": self.use_2d_position,
-            "mlp_layers": self.mlp_layers,
-            "dropout_rate": self.dropout_rate,
-            "multi_dropout_k": self.multi_dropout_k,
-            "positional_residual": self.positional_residual,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_record(rec: Mapping) -> "EncoderConfig":
@@ -246,18 +236,13 @@ def encode(
     order: InputOrder,
     params: ModelParams,
     *,
-    train_mode: bool = False,
-    rng=None,
     features: DocFeatures | None = None,
 ) -> np.ndarray:
     """Hidden states, shape (n, hidden_dim); row i belongs to word i.
 
-    Deterministic regardless of ``train_mode``: the toy encoder carries no
-    internal noise, regularization noise lives in the output heads (see
-    multi-dropout in the loss functions). The arguments are accepted so the
-    call site reads the same as for stochastic encoders.
+    Deterministic: the toy encoder carries no internal noise, regularization
+    noise lives in the output heads (see multi-dropout in the loss functions).
     """
-    del train_mode, rng
     n = doc.n_words
     if n > MAX_SEQUENCE:
         raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
@@ -287,21 +272,35 @@ def _encode_cached(feats: DocFeatures, order: InputOrder, params: ModelParams):
     return h, (acts, p1)
 
 
-def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Bilinear pair scores, shape (n_relations, m, m) where m = h rows.
+def _pair_heads(h: np.ndarray, params: ModelParams):
+    """Pair scores plus the per-relation queries and keys behind them.
 
     score[t, i, j] = (W_q^t h_i + b_q^t) . (W_k^t h_j + b_k^t) / sqrt(d)
     """
-    if h.size == 0:
-        raise ValueError("empty hidden states")
     d = params.config.hidden_dim
     a = params.arrays
-    out = np.empty((params.n_relations, h.shape[0], h.shape[0]))
+    scores = np.empty((params.n_relations, h.shape[0], h.shape[0]))
+    qs, ks = [], []
     for t in range(params.n_relations):
-        q = h @ a[f"q_w{t}"] + a[f"q_b{t}"]
-        k = h @ a[f"k_w{t}"] + a[f"k_b{t}"]
-        out[t] = (q @ k.T) / np.sqrt(d)
-    return out
+        qs.append(h @ a[f"q_w{t}"] + a[f"q_b{t}"])
+        ks.append(h @ a[f"k_w{t}"] + a[f"k_b{t}"])
+        scores[t] = (qs[t] @ ks[t].T) / np.sqrt(d)
+    return scores, qs, ks
+
+
+def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Bilinear pair scores, shape (n_relations, m, m) where m = h rows."""
+    if h.size == 0:
+        raise ValueError("empty hidden states")
+    return _pair_heads(h, params)[0]
+
+
+def _head_input(h: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The rows the task head reads: for rop, the auxiliary start node
+    ``aux_emb`` goes first, so row i+1 is word i."""
+    if params.task == "rop":
+        return np.vstack([params.arrays["aux_emb"][None, :], h])
+    return h
 
 
 def _bio_logits(hc: np.ndarray, perm: np.ndarray, a: Mapping[str, np.ndarray]):
@@ -330,13 +329,10 @@ def score_document(
             word and its neighbours along ``order``.
     """
     h = encode(doc, order, params, features=features)
-    a = params.arrays
     if params.task == "bio":
-        return _bio_logits(h, np.asarray(order.perm), a)[0]
-    if params.task == "rop":
-        h = np.vstack([a["aux_emb"][None, :], h])
-        return global_pointer_scores(h, params)[0]
-    return global_pointer_scores(h, params)
+        return _bio_logits(h, np.asarray(order.perm), params.arrays)[0]
+    scores = global_pointer_scores(_head_input(h, params), params)
+    return scores[0] if params.task == "rop" else scores
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +437,6 @@ def make_instance(
     return TaskInstance(features=feats, order=order, target=target)
 
 
-def _draw_masks(shape, k, keep_prob, rng):
-    return (rng.random((k,) + shape) < keep_prob).astype(float)
-
-
 def task_loss_and_grad(
     params: ModelParams,
     instances: Sequence[TaskInstance],
@@ -479,13 +471,7 @@ def _run_batch(params, instances, train_mode, rng, want_grad):
     # the intermediate overflow warnings are just noise on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
         for inst in instances:
-            n_rows = len(inst.order.perm) + (1 if params.task == "rop" else 0)
-            masks = (
-                _draw_masks((n_rows, cfg.hidden_dim), cfg.multi_dropout_k, 1.0 - cfg.dropout_rate, rng)
-                if use_masks
-                else None
-            )
-            total += _instance_run(params, inst, masks, grads)
+            total += _instance_run(params, inst, rng if use_masks else None, grads)
     scale = 1.0 / max(1, len(instances))
     if want_grad:
         for g in grads.values():
@@ -496,22 +482,20 @@ def _run_batch(params, instances, train_mode, rng, want_grad):
     return loss, grads
 
 
-def _instance_run(params, inst, masks, grads):
+def _instance_run(params, inst, rng, grads):
+    """Loss of one instance; accumulates its gradient into ``grads`` unless
+    None. With an ``rng``, the head reads K dropout-masked copies of its
+    input, with masks drawn here."""
     cfg = params.config
     a = params.arrays
     h, (acts, p1) = _encode_cached(inst.features, inst.order, params)
     task = params.task
-    if task == "rop":
-        h_head = np.vstack([a["aux_emb"][None, :], h])
-    else:
-        h_head = h
-
-    keep = 1.0 - cfg.dropout_rate
-    copies = (
-        [(h_head * m / keep, m / keep) for m in masks]
-        if masks is not None
-        else [(h_head, None)]
-    )
+    h_head = _head_input(h, params)
+    copies = [(h_head, None)]
+    if rng is not None:
+        keep = 1.0 - cfg.dropout_rate
+        masks = (rng.random((cfg.multi_dropout_k,) + h_head.shape) < keep).astype(float)
+        copies = [(h_head * m / keep, m / keep) for m in masks]
     k_copies = len(copies)
 
     loss = 0.0
@@ -534,22 +518,14 @@ def _instance_run(params, inst, masks, grads):
             dhc[perm[:-1]] += (dlogits @ a["cls_wp"].T)[perm[1:]]
             dhc[perm[1:]] += (dlogits @ a["cls_wn"].T)[perm[:-1]]
         else:
-            d = cfg.hidden_dim
-            scores = np.empty((params.n_relations,) + (hc.shape[0],) * 2)
-            qs, ks = [], []
-            for t in range(params.n_relations):
-                q = hc @ a[f"q_w{t}"] + a[f"q_b{t}"]
-                k = hc @ a[f"k_w{t}"] + a[f"k_b{t}"]
-                qs.append(q)
-                ks.append(k)
-                scores[t] = (q @ k.T) / np.sqrt(d)
+            scores, qs, ks = _pair_heads(hc, params)
             li, dscores = _grid_loss_grad(scores, inst.target, want_grad=grads is not None)
             loss += li / k_copies
             if grads is None:
                 continue
             dhc = np.zeros_like(hc)
             for t in range(params.n_relations):
-                ds = dscores[t] / (np.sqrt(d) * k_copies)
+                ds = dscores[t] / (np.sqrt(cfg.hidden_dim) * k_copies)
                 dq = ds @ ks[t]
                 dk = ds.T @ qs[t]
                 grads[f"q_w{t}"] += hc.T @ dq
@@ -667,6 +643,8 @@ def load_checkpoint(path: str) -> ModelParams:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape)
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: array {spec['name']!r} holds non-finite values")
             arrays[spec["name"]] = data.astype(np.float64).copy()
         trailing = f.read(1)
         if trailing:

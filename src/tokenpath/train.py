@@ -7,7 +7,7 @@ deterministic, including which documents get shuffled input orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,12 +57,7 @@ class TrainLog:
     message: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "losses": self.losses,
-            "lrs": self.lrs,
-            "aborted": self.aborted,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def train(

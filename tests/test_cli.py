@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from tokenpath import decode as decode_module
 from tokenpath.cli import main
 from tokenpath.core import dumps_canonical, load_corpus
 from tokenpath.scorer import EncoderConfig, init_params, save_checkpoint
@@ -123,6 +125,49 @@ class TestPipeline:
         rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert rec["kind"] == "validation"
         assert "TPPCKPT1" in rec["error"]
+        assert not (tmp_path / "p").exists()
+
+    def test_decode_refuses_non_finite_checkpoint(self, tmp_path, corpus_dir, capsys):
+        corpus = load_corpus(str(corpus_dir))
+        params = init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), "ner",
+                             corpus.entity_types)
+        params.arrays["q_w0"][0, 0] = np.nan
+        params.arrays["enc_b0"][1] = np.inf
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(params, str(ckpt))
+        assert run(["decode", "--task", "ner", "--corpus", corpus_dir,
+                    "--checkpoint", ckpt, "--out", tmp_path / "p"]) == 1
+        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rec["kind"] == "validation"
+        # Arrays are stored by name, so enc_b0 is the first bad one.
+        assert "array 'enc_b0' holds non-finite values" in rec["error"]
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("task", ["ner", "rop"])
+    def test_decoding_error_names_the_document(self, tmp_path, corpus_dir, capsys,
+                                               monkeypatch, task):
+        corpus = load_corpus(str(corpus_dir))
+        docs = corpus.split("test") if task == "ner" else corpus.documents
+        bad = docs[1]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), task,
+                                    corpus.entity_types), str(ckpt))
+        score = decode_module.score_document
+
+        def nan_for_bad(doc, *args, **kwargs):
+            out = score(doc, *args, **kwargs)
+            return np.full_like(out, np.nan) if doc.id == bad.id else out
+
+        monkeypatch.setattr(decode_module, "score_document", nan_for_bad)
+        if task == "ner":
+            args = ["decode", "--task", "ner", "--corpus", corpus_dir, "--workers", 2]
+        else:
+            args = ["reorder", "--corpus", corpus_dir, "--workers", 2]
+        assert run(args + ["--checkpoint", ckpt, "--out", tmp_path / "p"]) == 2
+        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rec["kind"] == "ValueError"
+        assert rec["error"].startswith(f"document {bad.id}: {task} grid has ")
+        assert rec["error"].endswith(" NaN cells")
         assert not (tmp_path / "p").exists()
 
     def test_eval_scores_each_document_on_its_own(self, tmp_path, corpus_dir):

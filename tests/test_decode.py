@@ -175,6 +175,15 @@ class TestNerDecode:
                 )
                 assert mapped == gold
 
+    def test_nan_cells_rejected(self):
+        with pytest.raises(ValueError, match="ner grid has 32 NaN cells"):
+            ner_decode(np.full((2, 4, 4), np.nan))
+        # A single NaN edge is refused, not read as below threshold.
+        s = grid_from_pairs(4, {(0, 1): 5.0, (1, 2): 5.0})
+        s[0, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="1 NaN cells"):
+            ner_decode(s)
+
 
 class TestElDecode:
     def test_mean_logit_hand_case(self):
@@ -196,6 +205,16 @@ class TestElDecode:
             assert sorted(got) == sorted(doc.links)
             checked += len(doc.links)
         assert checked > 0
+
+    def test_nan_cells_rejected(self):
+        ents = [Entity(0, (0, 1)), Entity(1, (2,))]
+        with pytest.raises(ValueError, match="el grid has 9 NaN cells"):
+            el_decode(np.full((3, 3), np.nan), ents)
+        # A NaN outside every entity pair is refused too.
+        s = np.ones((4, 4))
+        s[3, 3] = np.nan
+        with pytest.raises(ValueError, match="1 NaN cells"):
+            el_decode(s, ents)
 
 
 class TestRopDecode:

@@ -11,8 +11,6 @@ from tokenpath.labels import (
     bio_tag_names,
     el_grid,
     entities_from_grids,
-    grid_from_record,
-    grid_to_record,
     ner_grids,
     rop_grid,
 )
@@ -225,11 +223,3 @@ class TestBio:
             same = sorted(e.key() for e in decoded) == sorted(e.key() for e in doc.entities)
             assert same == (continuous_entity_rate(doc, order) == 1.0)
 
-
-class TestGridRecords:
-    def test_round_trip(self):
-        g = np.zeros((5, 5), dtype=bool)
-        g[0, 3] = g[4, 4] = True
-        rec = grid_to_record(g)
-        assert rec == {"n": 5, "set_bits": [[0, 3], [4, 4]]}
-        assert np.array_equal(grid_from_record(rec), g)

@@ -101,8 +101,8 @@ class TestEncode:
         cfg = small_config()
         params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
-        h1 = encode(doc, ocr_order(doc), params, train_mode=False)
-        h2 = encode(doc, ocr_order(doc), params, train_mode=False)
+        h1 = encode(doc, ocr_order(doc), params)
+        h2 = encode(doc, ocr_order(doc), params)
         assert np.array_equal(h1, h2)
 
     def test_max_sequence_enforced(self):
@@ -326,6 +326,34 @@ class TestGradients:
         l2, g2 = task_loss_and_grad(p2, insts, train_mode=True, rng=np.random.default_rng(0))
         assert l1 == l2
         assert np.array_equal(grads_to_vector(p1, g1), grads_to_vector(p2, g2))
+
+
+class TestScoringMatchesTraining:
+    """Decoding scores and the training loss read the same task head."""
+
+    @staticmethod
+    def instances(task):
+        docs = small_corpus()
+        cfg = small_config(use_1d_position="global", dropout_rate=0.0)
+        params = init_params(cfg, task, docs[0].entity_types)
+        rng = np.random.default_rng(5)
+        for doc in docs:
+            order = InputOrder(tuple(int(i) for i in rng.permutation(doc.n_words)))
+            yield params, doc, order, make_instance(doc, order, task, cfg)
+
+    @pytest.mark.parametrize("task", ["ner", "el", "rop"])
+    def test_grid_loss_of_scores_is_the_training_loss(self, task):
+        for params, doc, order, inst in self.instances(task):
+            scores = score_document(doc, order, params).reshape(inst.target.shape)
+            assert grid_loss(scores, inst.target) == task_loss(params, [inst])
+
+    def test_bio_cross_entropy_of_logits_is_the_training_loss(self):
+        for params, doc, order, inst in self.instances("bio"):
+            logits = score_document(doc, order, params)
+            z = logits - logits.max(axis=1, keepdims=True)
+            rows = np.arange(doc.n_words)
+            ce = -float(np.mean(z[rows, inst.target] - np.log(np.exp(z).sum(axis=1))))
+            assert ce == task_loss(params, [inst])
 
 
 class TestCheckpoint:
