@@ -14,7 +14,6 @@ from .core import (
     InputOrder,
     Segment,
     Word,
-    apply_order,
     load_corpus,
     load_document,
     ocr_order,
@@ -38,7 +37,6 @@ from .labels import (
     bio_encode,
     bio_tag_names,
     el_grid,
-    entities_from_grids,
     ner_grids,
     rop_grid,
 )

@@ -373,22 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True, workers=False):
+    def common(p, seed=False, workers=False):
         p.add_argument("--config", default=None, help="JSON run config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory (must not exist)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override config seeds")
+        p.add_argument("--out", required=True, help="output directory (must not exist)")
         if workers:
             p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
-    common(p, workers=True)
+    common(p, seed=True, workers=True)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--corpus", required=True)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("decode", help="decode predictions with a checkpoint")

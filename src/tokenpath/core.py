@@ -40,18 +40,6 @@ class BoundingBox:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x0, self.y0, self.x1, self.y1)
 
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
     def contains(self, other: "BoundingBox", slack: float = 0.0) -> bool:
         return (
             self.x0 - slack <= other.x0
@@ -165,7 +153,7 @@ def is_permutation(seq: Sequence[int]) -> bool:
     return True
 
 
-def validate_document(doc: Document, box_slack: float = SEGMENT_BOX_SLACK) -> list[str]:
+def validate_document(doc: Document) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
     An empty list means the document is valid. Violations are data, not
@@ -203,10 +191,10 @@ def validate_document(doc: Document, box_slack: float = SEGMENT_BOX_SLACK) -> li
                 out.append(f"segment {si} references word index {wi} outside [0, {n})")
             else:
                 owner_count[wi] += 1
-                if not seg.box.contains(doc.words[wi].box, slack=box_slack):
+                if not seg.box.contains(doc.words[wi].box, slack=SEGMENT_BOX_SLACK):
                     out.append(
                         f"segment {si} does not contain word {wi} "
-                        f"(slack {box_slack})"
+                        f"(slack {SEGMENT_BOX_SLACK})"
                     )
     for wi, c in enumerate(owner_count):
         if c == 0:
@@ -261,24 +249,6 @@ def ocr_order(doc: Document) -> InputOrder:
     for si in ranked:
         perm.extend(doc.segments[si].word_indices)
     return InputOrder(tuple(perm))
-
-
-def apply_order(
-    doc: Document, order: InputOrder | Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (view, inverse) for an order over ``doc``'s words.
-
-    ``view[v]`` is the word index at position v; ``inverse[w]`` is the
-    position of word w. The document itself is never mutated. Raises
-    ValueError if ``order`` is not a permutation of the document's words.
-    """
-    perm = order.perm if isinstance(order, InputOrder) else tuple(order)
-    if len(perm) != len(doc.words) or not is_permutation(perm):
-        raise ValueError(
-            f"order of length {len(perm)} is not a permutation of "
-            f"{len(doc.words)} words"
-        )
-    return perm, InputOrder(perm).inverse()
 
 
 # ---------------------------------------------------------------------------

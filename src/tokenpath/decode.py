@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Document, Entity, InputOrder, ocr_order
 from .labels import bio_decode, bio_tag_names
-from .scorer import DocFeatures, ModelParams, score_document
+from .scorer import ModelParams, score_document
 
 
 @dataclass(frozen=True)
@@ -219,20 +219,18 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
 
 
 def reorder(
-    doc: Document,
-    rop_params: ModelParams,
-    config: DecodeConfig = DecodeConfig(),
-    features: DocFeatures | None = None,
+    doc: Document, rop_params: ModelParams, config: DecodeConfig = DecodeConfig()
 ) -> InputOrder:
     """Predicted reading order for a document, as an input order.
 
     Encodes under OCR order (harmless for order-free configs), scores the
     (n+1)-node grid, and beam-decodes a full permutation. The result feeds
-    ``apply_order`` or any downstream sequence-labeling pipeline.
+    any downstream sequence-labeling pipeline (``core.replace_order``
+    stores it on the document).
     """
     if rop_params.task != "rop":
         raise ValueError(f"reorder needs rop params, got task {rop_params.task!r}")
-    grid = score_document(doc, ocr_order(doc), rop_params, features=features)
+    grid = score_document(doc, ocr_order(doc), rop_params)
     return InputOrder(rop_decode(grid, config))
 
 
@@ -292,7 +290,6 @@ def decode_document(
     params: ModelParams,
     config: DecodeConfig = DecodeConfig(),
     order: InputOrder | None = None,
-    features: DocFeatures | None = None,
 ) -> Prediction:
     """Run the task-appropriate decoder for one document.
 
@@ -300,12 +297,14 @@ def decode_document(
     (e.g. written by a reordering pre-process), else OCR order. For the el
     task the grid is aggregated over the document's gold entities, the
     standard setting for linking evaluation.
+
+    Raises ``ValueError`` if the model output holds NaN, for every task.
     """
     if order is None:
         order = (
             InputOrder(doc.input_order) if doc.input_order is not None else ocr_order(doc)
         )
-    output = score_document(doc, order, params, features=features)
+    output = score_document(doc, order, params)
     if params.task == "ner":
         return Prediction(doc.id, entities=tuple(ner_decode(output, config)))
     if params.task == "el":
@@ -313,6 +312,7 @@ def decode_document(
     if params.task == "rop":
         return Prediction(doc.id, predicted_order=rop_decode(output, config))
     # bio: argmax tags along the input order, then span extraction.
+    _reject_nan(output, "bio")
     tag_list = bio_tag_names(params.entity_types)
     tag_ids = output.argmax(axis=1)
     tags = [tag_list[tag_ids[w]] for w in order.perm]

@@ -31,10 +31,6 @@ class GridConstructionError(ValueError):
     """Gold annotations that a grid cannot represent unambiguously."""
 
 
-class GridStructureError(ValueError):
-    """A grid whose set bits do not form decodable token paths."""
-
-
 def ner_grids(doc: Document) -> np.ndarray:
     """Build per-type path grids, shape (n_types, n, n), dtype bool.
 
@@ -61,63 +57,6 @@ def ner_grids(doc: Document) -> np.ndarray:
             succ[(ent.type_id, a)] = b
             grids[ent.type_id, a, b] = True
     return grids
-
-
-def entities_from_grids(grids: np.ndarray) -> list[Entity]:
-    """Exact inverse of :func:`ner_grids` on grids it produced.
-
-    Raises GridStructureError when the set bits do not form simple open
-    paths (branching, merging, cycles, or a diagonal mark on a path token).
-    """
-    if grids.ndim != 3 or grids.shape[1] != grids.shape[2]:
-        raise ValueError(f"expected (types, n, n) grids, got shape {grids.shape}")
-    entities: list[Entity] = []
-    for t in range(grids.shape[0]):
-        g = grids[t]
-        n = g.shape[0]
-        diag = [i for i in range(n) if g[i, i]]
-        succ: dict[int, int] = {}
-        indeg: dict[int, int] = {}
-        for a, b in zip(*np.nonzero(g)):
-            a, b = int(a), int(b)
-            if a == b:
-                continue
-            if a in succ:
-                raise GridStructureError(
-                    f"type {t}: token {a} has multiple outgoing bits "
-                    f"({a},{succ[a]}) and ({a},{b})"
-                )
-            succ[a] = b
-            indeg[b] = indeg.get(b, 0) + 1
-        for b, d in indeg.items():
-            if d > 1:
-                raise GridStructureError(f"type {t}: token {b} has {d} incoming bits")
-        starts = sorted(a for a in succ if a not in indeg)
-        on_path: set[int] = set()
-        for s in starts:
-            path = [s]
-            cur = s
-            while cur in succ:
-                cur = succ[cur]
-                if cur in path:
-                    raise GridStructureError(f"type {t}: cycle through token {cur}")
-                path.append(cur)
-            on_path.update(path)
-            entities.append(Entity(t, tuple(path)))
-        leftover = sorted(set(succ) - on_path)
-        if leftover:
-            raise GridStructureError(
-                f"type {t}: cyclic bits not reachable from any path start: "
-                f"{[(a, succ[a]) for a in leftover]}"
-            )
-        for i in diag:
-            if i in on_path:
-                raise GridStructureError(
-                    f"type {t}: diagonal mark ({i},{i}) on a path token"
-                )
-            entities.append(Entity(t, (i,)))
-    entities.sort(key=lambda e: e.key())
-    return entities
 
 
 def el_grid(doc: Document) -> np.ndarray:

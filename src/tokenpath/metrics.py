@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import Corpus, Document, Entity, InputOrder, ocr_order
@@ -23,16 +23,7 @@ class EvalReport:
     per_type: Mapping[str, "EvalReport"] = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        rec = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "correct": self.correct,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "per_type": {k: v.to_record() for k, v in self.per_type.items()},
-        }
-        return rec
+        return asdict(self)
 
     def format_table(self, title: str = "") -> str:
         lines = []

@@ -225,29 +225,24 @@ def _pos1d_sum(params: ModelParams, feats: DocFeatures, order: InputOrder) -> np
     cfg = params.config
     if cfg.use_1d_position == "none":
         return None
+    n = len(order.perm)
+    if n > MAX_SEQUENCE:
+        raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
     ranks = _rank_indices(feats, order)
     if cfg.use_1d_position == "global":
         return params.arrays["pos1d"][ranks["global"]]
     return params.arrays["pos1d_seg"][ranks["seg"]] + params.arrays["pos1d_word"][ranks["word"]]
 
 
-def encode(
-    doc: Document,
-    order: InputOrder,
-    params: ModelParams,
-    *,
-    features: DocFeatures | None = None,
-) -> np.ndarray:
+def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
     """Hidden states, shape (n, hidden_dim); row i belongs to word i.
 
     Deterministic: the toy encoder carries no internal noise, regularization
     noise lives in the output heads (see multi-dropout in the loss functions).
+    Only the 1D position tables cap the length: with 1D positions on, a
+    document of more than ``MAX_SEQUENCE`` words raises ``ValueError``.
     """
-    n = doc.n_words
-    if n > MAX_SEQUENCE:
-        raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
-    feats = features if features is not None else featurize(doc, params.config)
-    h, _ = _encode_cached(feats, order, params)
+    h, _ = _encode_cached(featurize(doc, params.config), order, params)
     return h
 
 
@@ -315,12 +310,7 @@ def _bio_logits(hc: np.ndarray, perm: np.ndarray, a: Mapping[str, np.ndarray]):
     return logits, prev, nxt
 
 
-def score_document(
-    doc: Document,
-    order: InputOrder,
-    params: ModelParams,
-    features: DocFeatures | None = None,
-) -> np.ndarray:
+def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
     """Eval-mode model output for one document.
 
     ner/el: (n_relations, n, n) score grids over word indices.
@@ -328,7 +318,7 @@ def score_document(
     bio:    (n, n_tags) classification logits per word, each read from the
             word and its neighbours along ``order``.
     """
-    h = encode(doc, order, params, features=features)
+    h = encode(doc, order, params)
     if params.task == "bio":
         return _bio_logits(h, np.asarray(order.perm), params.arrays)[0]
     scores = global_pointer_scores(_head_input(h, params), params)

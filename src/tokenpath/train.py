@@ -68,11 +68,13 @@ def train(
 ) -> tuple[ModelParams, TrainLog]:
     """Train a model for one task on a document list.
 
-    Each epoch a fraction ``hyper.shuffle_proportion`` of documents is
-    presented under a random segment-shuffled input order instead of OCR
-    order; an order-free config is provably unaffected, which is the whole
-    trick. Divergence (non-finite loss) aborts and returns the parameters
-    from before the poisoning update.
+    Each document is presented under its stored ``input_order`` if it has
+    one (e.g. written by ``tokenpath reorder``), else OCR order, as at
+    decoding. Each epoch a fraction ``hyper.shuffle_proportion`` of
+    documents is presented under a random segment-shuffled input order
+    instead; an order-free config is provably unaffected, which is the
+    whole trick. Divergence (non-finite loss) aborts and returns the
+    parameters from before the poisoning update.
     """
     if not docs:
         raise ValueError("empty training corpus")
@@ -86,14 +88,10 @@ def train(
         return params, log
 
     feats = [featurize(d, config) for d in docs]
-    base_orders = [ocr_order(d) for d in docs]
-    # Word-space grid targets never depend on the input order, so cache them.
-    static_target = task in ("ner", "el", "rop")
-    cached = (
-        [make_instance(d, base_orders[i], task, config, feats[i]) for i, d in enumerate(docs)]
-        if static_target
-        else None
-    )
+    base_orders = [
+        InputOrder(d.input_order) if d.input_order is not None else ocr_order(d) for d in docs
+    ]
+    base = [make_instance(d, base_orders[i], task, config, feats[i]) for i, d in enumerate(docs)]
 
     batch_rng, shuf_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
@@ -113,15 +111,11 @@ def train(
             if step >= hyper.steps:
                 break
             batch = epoch_docs[lo : lo + hyper.batch_size]
-            instances = []
-            for i in batch:
-                if static_target:
-                    inst = cached[i]
-                    if orders[i] is not base_orders[i]:
-                        inst = type(inst)(inst.features, orders[i], inst.target)
-                else:
-                    inst = make_instance(docs[i], orders[i], task, config, feats[i])
-                instances.append(inst)
+            instances = [
+                base[i] if orders[i] is base_orders[i]
+                else make_instance(docs[i], orders[i], task, config, feats[i])
+                for i in batch
+            ]
             try:
                 loss, grads = task_loss_and_grad(
                     params, instances, train_mode=True, rng=drop_rng

@@ -8,7 +8,6 @@ from tokenpath.core import (
     InputOrder,
     Segment,
     Word,
-    apply_order,
     document_from_record,
     document_to_record,
     load_corpus,
@@ -121,50 +120,6 @@ class TestOcrOrder:
         assert ocr_order(doc).perm == (0, 1)
 
 
-class TestApplyOrder:
-    def test_identity(self):
-        doc = make_doc([("a", 0, 0, 5, 5), ("b", 8, 0, 12, 5)], [[0, 1]])
-        view, inv = apply_order(doc, InputOrder((0, 1)))
-        assert view == (0, 1) and inv == (0, 1)
-
-    def test_inverse_of_simple_cycle(self):
-        doc = make_doc(
-            [("a", 0, 0, 5, 5), ("b", 8, 0, 12, 5), ("c", 16, 0, 20, 5)], [[0, 1, 2]],
-        )
-        view, inv = apply_order(doc, (2, 0, 1))
-        assert view == (2, 0, 1)
-        assert inv == (1, 2, 0)
-
-    def test_rejects_non_permutation(self):
-        doc = make_doc([("a", 0, 0, 5, 5), ("b", 8, 0, 12, 5)], [[0, 1]])
-        with pytest.raises(ValueError):
-            apply_order(doc, (0, 0))
-        with pytest.raises(ValueError):
-            apply_order(doc, (0,))
-
-    def test_round_trip_exhaustive_small(self):
-        import itertools
-
-        for n in range(1, 6):
-            doc = make_doc(
-                [(f"w{i}", 10 * i, 0, 10 * i + 8, 5) for i in range(n)],
-                [list(range(n))],
-            )
-            for perm in itertools.permutations(range(n)):
-                view, inv = apply_order(doc, perm)
-                assert tuple(view[inv[w]] for w in range(n)) == tuple(range(n))
-                assert tuple(inv[view[v]] for v in range(n)) == tuple(range(n))
-
-    def test_round_trip_fuzzed(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(9, 60))
-            perm = tuple(int(i) for i in rng.permutation(n))
-            order = InputOrder(perm)
-            inv = order.inverse()
-            assert tuple(perm[inv[w]] for w in range(n)) == tuple(range(n))
-
-
 class TestInputOrder:
     def test_rejects_bad_perms(self):
         for bad in ((0, 0), (1, 2), (-1, 0)):
@@ -175,6 +130,15 @@ class TestInputOrder:
         o = InputOrder.identity(4)
         assert o.perm == (0, 1, 2, 3)
         assert InputOrder((2, 0, 1)).inverse() == (1, 2, 0)
+
+    def test_round_trip_fuzzed(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(9, 60))
+            perm = tuple(int(i) for i in rng.permutation(n))
+            order = InputOrder(perm)
+            inv = order.inverse()
+            assert tuple(perm[inv[w]] for w in range(n)) == tuple(range(n))
 
 
 class TestCorpusFormat:

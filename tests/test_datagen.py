@@ -5,7 +5,8 @@ import pytest
 
 from tokenpath.core import ocr_order, validate_document
 from tokenpath.datagen import GenConfig, GenError, gen_corpus, shuffle_order
-from tokenpath.labels import entities_from_grids, ner_grids
+from tokenpath.decode import ner_decode
+from tokenpath.labels import ner_grids
 from tokenpath.metrics import corpus_continuous_entity_rate
 
 
@@ -57,8 +58,9 @@ class TestGenCorpus:
 
     def test_entities_recoverable_from_grids(self):
         for doc in gen_corpus(GenConfig(doc_count=25, seed=11)).documents:
-            got = entities_from_grids(ner_grids(doc))
-            assert sorted(e.key() for e in got) == sorted(e.key() for e in doc.entities)
+            # An oracle grid: +10 on every gold edge, -10 elsewhere.
+            got = ner_decode(np.where(ner_grids(doc), 10.0, -10.0))
+            assert [e.to_entity().key() for e in got] == sorted(e.key() for e in doc.entities)
 
     def test_gold_order_is_permutation_and_continuous(self):
         from tokenpath.metrics import continuous_entity_rate

@@ -7,6 +7,7 @@ from tokenpath.decode import (
     DecodeConfig,
     DecodedEntity,
     Prediction,
+    decode_document,
     el_decode,
     ner_decode,
     reorder,
@@ -336,6 +337,17 @@ class TestRopDecode:
                     rop_decode(t, cfg)
             else:
                 assert rop_decode(t, cfg) == want
+
+
+class TestBioDecode:
+    def test_nan_logits_rejected(self):
+        doc = gen_corpus(GenConfig(doc_count=1, seed=2)).documents[0]
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=1)
+        params = init_params(cfg, "bio", doc.entity_types)
+        params.arrays["cls_b"][1] = np.nan  # one NaN tag logit per word
+        with pytest.raises(ValueError, match=f"bio grid has {doc.n_words} NaN cells"):
+            decode_document(doc, params)
+
 
 class TestReorder:
     def test_untrained_params_still_a_permutation(self):

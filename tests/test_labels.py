@@ -5,12 +5,10 @@ from tokenpath.core import Entity, InputOrder
 from tokenpath.datagen import GenConfig, gen_corpus
 from tokenpath.labels import (
     GridConstructionError,
-    GridStructureError,
     bio_decode,
     bio_encode,
     bio_tag_names,
     el_grid,
-    entities_from_grids,
     ner_grids,
     rop_grid,
 )
@@ -75,40 +73,6 @@ class TestNerGrids:
         )
         with pytest.raises(GridConstructionError, match="two\\s+successors|two successors"):
             ner_grids(doc)
-
-
-class TestEntitiesFromGrids:
-    def test_round_trip_on_generated_docs(self):
-        corpus = gen_corpus(GenConfig(doc_count=25, seed=5))
-        for doc in corpus.documents:
-            got = entities_from_grids(ner_grids(doc))
-            assert sorted(e.key() for e in got) == sorted(e.key() for e in doc.entities)
-
-    def test_all_zero_grids(self):
-        assert entities_from_grids(np.zeros((2, 5, 5), dtype=bool)) == []
-
-    def test_single_diagonal_bit(self):
-        g = np.zeros((1, 6, 6), dtype=bool)
-        g[0, 5, 5] = True
-        assert entities_from_grids(g) == [Entity(0, (5,))]
-
-    def test_branching_rejected(self):
-        g = np.zeros((1, 4, 4), dtype=bool)
-        g[0, 0, 1] = g[0, 0, 2] = True
-        with pytest.raises(GridStructureError, match="multiple outgoing"):
-            entities_from_grids(g)
-
-    def test_merge_rejected(self):
-        g = np.zeros((1, 4, 4), dtype=bool)
-        g[0, 0, 2] = g[0, 1, 2] = True
-        with pytest.raises(GridStructureError, match="incoming"):
-            entities_from_grids(g)
-
-    def test_cycle_rejected(self):
-        g = np.zeros((1, 4, 4), dtype=bool)
-        g[0, 0, 1] = g[0, 1, 0] = True
-        with pytest.raises(GridStructureError, match="cyclic"):
-            entities_from_grids(g)
 
 
 class TestElGrid:

@@ -5,6 +5,7 @@ import pytest
 
 from tokenpath.core import InputOrder, ocr_order
 from tokenpath.datagen import GenConfig, gen_corpus
+from tokenpath.decode import decode_document
 from tokenpath.scorer import (
     MAX_SEQUENCE,
     EncoderConfig,
@@ -30,6 +31,14 @@ from .test_core import make_doc
 
 def small_corpus(n_docs=4, seed=1, **kw):
     return gen_corpus(GenConfig(doc_count=n_docs, words_per_doc=(6, 10), seed=seed, **kw)).documents
+
+
+def long_doc(n):
+    """One segment of n words on rows of 60."""
+    words = [(f"w{i}", float(8 * (i % 60)), float(14 * (i // 60)),
+              float(8 * (i % 60) + 6), float(14 * (i // 60) + 12))
+             for i in range(n)]
+    return make_doc(words, [list(range(n))])
 
 
 def small_config(**kw):
@@ -106,14 +115,23 @@ class TestEncode:
         assert np.array_equal(h1, h2)
 
     def test_max_sequence_enforced(self):
-        words = [(f"w{i}", float(8 * (i % 60)), float(14 * (i // 60)),
-                  float(8 * (i % 60) + 6), float(14 * (i // 60) + 12))
-                 for i in range(MAX_SEQUENCE + 1)]
-        doc = make_doc(words, [list(range(len(words)))])
-        cfg = small_config()
+        doc = long_doc(MAX_SEQUENCE + 1)
+        cfg = small_config(use_1d_position="global")
         params = init_params(cfg, "ner", doc.entity_types)
         with pytest.raises(ValueError, match="max sequence"):
             encode(doc, InputOrder.identity(doc.n_words), params)
+
+    @pytest.mark.parametrize("task", ["ner", "rop"])
+    def test_order_free_config_has_no_length_cap(self, task):
+        # Only the 1D position tables have MAX_SEQUENCE rows.
+        doc = long_doc(600)
+        params = init_params(small_config(use_1d_position="none"), task, doc.entity_types)
+        assert encode(doc, ocr_order(doc), params).shape == (600, params.config.hidden_dim)
+        pred = decode_document(doc, params)
+        if task == "rop":
+            assert sorted(pred.predicted_order) == list(range(600))
+        else:
+            assert all(0 <= w < 600 for e in pred.entities for w in e.word_indices)
 
 
 class TestGlobalPointerScores:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tokenpath.datagen import GenConfig, gen_corpus
-from tokenpath.scorer import EncoderConfig, params_to_vector
+from tokenpath.core import ocr_order, replace_order
+from tokenpath.datagen import GenConfig, gen_corpus, shuffle_order
+from tokenpath.scorer import EncoderConfig, init_params, make_instance, params_to_vector, task_loss
 from tokenpath.train import Hyper, TrainLog, train
 
 
@@ -27,8 +28,6 @@ class TestTrain:
         docs = toy_docs()
         cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=2)
         params, log = train(docs, "ner", cfg, Hyper(steps=0))
-        from tokenpath.scorer import init_params
-
         init = init_params(cfg, "ner", docs[0].entity_types)
         assert np.array_equal(params_to_vector(params), params_to_vector(init))
         assert log.losses == []
@@ -84,6 +83,23 @@ class TestTrain:
         assert "aborted" in log.message
         assert len(log.losses) < 50
         assert np.isfinite(params_to_vector(params)).all()
+
+    @pytest.mark.parametrize("task", ["ner", "bio"])
+    def test_stored_input_order_is_the_base_order(self, task):
+        docs = toy_docs(6)
+        stored = [shuffle_order(d, 100 + i) for i, d in enumerate(docs)]
+        docs = [replace_order(d, o) for d, o in zip(docs, stored)]
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="global",
+                            dropout_rate=0.0, multi_dropout_k=1, seed=5)
+        _, log = train(docs, task, cfg, Hyper(steps=1, batch_size=len(docs)))
+        init = init_params(cfg, task, docs[0].entity_types)
+
+        def loss_under(orders):
+            return task_loss(init, [make_instance(d, o, task, cfg) for d, o in zip(docs, orders)])
+
+        # Equal up to the order in which the batch sums its documents.
+        assert log.losses[0] == pytest.approx(loss_under(stored), rel=1e-12, abs=0.0)
+        assert log.losses[0] != pytest.approx(loss_under([ocr_order(d) for d in docs]), rel=1e-6)
 
     def test_rop_requires_gold_order(self):
         from dataclasses import replace
