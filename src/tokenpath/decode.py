@@ -41,10 +41,10 @@ class DecodedEntity:
         return Entity(self.type_id, self.word_indices)
 
 
-def _reject_nan(scores: np.ndarray, task: str) -> None:
+def _reject_nan(scores: np.ndarray, what: str) -> None:
     n_nan = int(np.isnan(scores).sum())
     if n_nan:
-        raise ValueError(f"{task} grid has {n_nan} NaN cells")
+        raise ValueError(f"{what} has {n_nan} NaN cells")
 
 
 def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> list[DecodedEntity]:
@@ -64,7 +64,7 @@ def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> lis
     """
     if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
         raise ValueError(f"expected (types, n, n) scores, got {scores.shape}")
-    _reject_nan(scores, "ner")
+    _reject_nan(scores, "ner grid")
     out: list[DecodedEntity] = []
     n = scores.shape[1]
     for t in range(scores.shape[0]):
@@ -139,7 +139,7 @@ def el_decode(scores: np.ndarray, entities: Sequence[Entity]) -> list[tuple[int,
     """
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ValueError(f"expected one (n, n) grid, got {scores.shape}")
-    _reject_nan(scores, "el")
+    _reject_nan(scores, "el grid")
     links: list[tuple[int, int]] = []
     for ai, a in enumerate(entities):
         rows = np.asarray(a.word_indices)
@@ -173,7 +173,7 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
     m = scores.shape[0]
     if scores.ndim != 2 or scores.shape[1] != m:
         raise ValueError(f"expected a square grid, got {scores.shape}")
-    _reject_nan(scores, "rop")
+    _reject_nan(scores, "rop grid")
     n = m - 1
     if n == 0:
         return ()
@@ -312,7 +312,7 @@ def decode_document(
     if params.task == "rop":
         return Prediction(doc.id, predicted_order=rop_decode(output, config))
     # bio: argmax tags along the input order, then span extraction.
-    _reject_nan(output, "bio")
+    _reject_nan(output, "bio logit array")
     tag_list = bio_tag_names(params.entity_types)
     tag_ids = output.argmax(axis=1)
     tags = [tag_list[tag_ids[w]] for w in order.perm]

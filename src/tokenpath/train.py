@@ -7,7 +7,7 @@ deterministic, including which documents get shuffled input orders.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +93,16 @@ def train(
     ]
     base = [make_instance(d, base_orders[i], task, config, feats[i]) for i, d in enumerate(docs)]
 
+    def instance(i: int, order: InputOrder):
+        if order is base_orders[i]:
+            return base[i]
+        if task != "bio":
+            # Word-space grid targets do not depend on the input order, so a
+            # shuffled document reuses its cached target; only BIO tags,
+            # which follow the input order, are rebuilt.
+            return replace(base[i], order=order)
+        return make_instance(docs[i], order, task, config, feats[i])
+
     batch_rng, shuf_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
     )
@@ -111,11 +121,7 @@ def train(
             if step >= hyper.steps:
                 break
             batch = epoch_docs[lo : lo + hyper.batch_size]
-            instances = [
-                base[i] if orders[i] is base_orders[i]
-                else make_instance(docs[i], orders[i], task, config, feats[i])
-                for i in batch
-            ]
+            instances = [instance(i, orders[i]) for i in batch]
             try:
                 loss, grads = task_loss_and_grad(
                     params, instances, train_mode=True, rng=drop_rng

@@ -345,7 +345,7 @@ class TestBioDecode:
         cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=1)
         params = init_params(cfg, "bio", doc.entity_types)
         params.arrays["cls_b"][1] = np.nan  # one NaN tag logit per word
-        with pytest.raises(ValueError, match=f"bio grid has {doc.n_words} NaN cells"):
+        with pytest.raises(ValueError, match=f"bio logit array has {doc.n_words} NaN cells"):
             decode_document(doc, params)
 
 
