@@ -1,8 +1,8 @@
 """Command-line surface: gen, train, decode, reorder, eval, stats.
 
 Every command validates its inputs before touching the filesystem, writes
-outputs to a temporary sibling directory, and renames it into place, so a
-failed run never leaves a half-written result. Outputs are byte-identical
+outputs to a temporary sibling directory, and renames it into place (a
+failed run removes it, leaving nothing behind). Outputs are byte-identical
 across reruns with the same seeds; the effective configuration (never any
 path) is echoed into each output directory as ``_run_config.json``.
 
@@ -16,11 +16,12 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import struct
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from dataclasses import asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .core import (
     Corpus,
     Document,
     InputOrder,
-    dumps_canonical,
     load_corpus,
+    map_ordered,
     ocr_order,
     replace_order,
     save_corpus,
     validate_document,
+    write_canonical,
 )
 from .datagen import GenConfig, gen_corpus, shuffle_order
 from .decode import DecodeConfig, Prediction, decode_document, reorder
@@ -78,55 +80,43 @@ def build_section(raw: dict, section: str, overrides: dict | None = None):
     fields = dict(raw.get(section, {}))
     if overrides:
         fields.update(overrides)
-    if section == "gen" and "words_per_doc" in fields:
-        fields["words_per_doc"] = tuple(fields["words_per_doc"])
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad [{section}] config: {exc}") from exc
 
 
-def _echo_config(directory: str, record: dict) -> None:
-    with open(os.path.join(directory, "_run_config.json"), "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(record))
-        f.write("\n")
-
-
-def _atomic_dir(out: str) -> tuple[str, Callable[[], None]]:
-    """A staging directory plus the commit that renames it to ``out``."""
+@contextlib.contextmanager
+def _staged(out: str, run_config: dict | None = None):
+    """A staging directory that the block fills; on success ``run_config``
+    (if given) is echoed into it as ``_run_config.json`` and it is renamed
+    to ``out``. On any exception the staging directory is removed."""
     parent = os.path.dirname(os.path.abspath(out)) or "."
     os.makedirs(parent, exist_ok=True)
     if os.path.exists(out):
         raise CliError(f"output path already exists: {out}")
     tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".tmp.", dir=parent)
-
-    def commit():
+    try:
+        yield tmp
+        if run_config is not None:
+            write_canonical(os.path.join(tmp, "_run_config.json"), run_config)
         os.replace(tmp, out)
-
-    return tmp, commit
-
-
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map preserving item order; thread-parallel when workers > 1, so
-    parallelism never changes output bytes."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _load_corpus_checked(path: str) -> Corpus:
     if not os.path.isdir(path):
         raise CliError(f"corpus directory not found: {path}")
+    # Corpus files come from outside: a malformed value is a validation
+    # error whether it fails while loading or while validating.
     try:
         corpus = load_corpus(path)
-    except (OSError, ValueError, KeyError) as exc:
+        problems = [(doc.id, validate_document(doc)) for doc in corpus.documents]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot load corpus at {path}: {exc}") from exc
-    bad = []
-    for doc in corpus.documents:
-        problems = validate_document(doc)
-        if problems:
-            bad.append({"id": doc.id, "violations": problems[:5]})
+    bad = [{"id": doc_id, "violations": p[:5]} for doc_id, p in problems if p]
     if bad:
         raise CliError(f"corpus contains invalid documents: {json.dumps(bad[:3])}")
     return corpus
@@ -151,10 +141,8 @@ def cmd_gen(args) -> int:
     overrides = {} if args.seed is None else {"seed": args.seed}
     gcfg: GenConfig = build_section(raw, "gen", overrides)
     corpus = gen_corpus(gcfg, workers=args.workers)
-    tmp, commit = _atomic_dir(args.out)
-    save_corpus(corpus, tmp)
-    _echo_config(tmp, {"gen": gcfg.__dict__ | {"words_per_doc": list(gcfg.words_per_doc)}})
-    commit()
+    with _staged(args.out, {"gen": asdict(gcfg)}) as tmp:
+        save_corpus(corpus, tmp)
     print(f"wrote {len(corpus.documents)} documents to {args.out}")
     return 0
 
@@ -169,13 +157,10 @@ def cmd_train(args) -> int:
     if args.task == "rop" and any(d.gold_order is None for d in docs):
         raise CliError("rop training needs gold_order on every training document")
     params, log = train(docs, args.task, config, hyper)
-    tmp, commit = _atomic_dir(args.out)
-    save_checkpoint(params, os.path.join(tmp, "model.ckpt"))
-    with open(os.path.join(tmp, "train_log.json"), "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(log.to_record()))
-        f.write("\n")
-    _echo_config(tmp, {"task": args.task, "encoder": config.to_record(), "train": hyper.__dict__})
-    commit()
+    run_config = {"task": args.task, "encoder": asdict(config), "train": asdict(hyper)}
+    with _staged(args.out, run_config) as tmp:
+        save_checkpoint(params, os.path.join(tmp, "model.ckpt"))
+        write_canonical(os.path.join(tmp, "train_log.json"), asdict(log))
     last = log.losses[-1] if log.losses else float("nan")
     status = "aborted" if log.aborted else "done"
     print(f"{status}: {len(log.losses)} steps, final loss {last:.6f} -> {args.out}")
@@ -228,22 +213,12 @@ def cmd_decode(args) -> int:
         with _naming(doc):
             return decode_document(doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed))
 
-    preds = _pmap(run, list(enumerate(docs)), args.workers)
-    tmp, commit = _atomic_dir(args.out)
-    for p in preds:
-        with open(os.path.join(tmp, f"{p.doc_id}.json"), "w", encoding="utf-8") as f:
-            f.write(dumps_canonical(p.to_record()))
-            f.write("\n")
-    _echo_config(
-        tmp,
-        {
-            "task": args.task,
-            "split": args.split,
-            "decode": dcfg.__dict__,
-            "shuffle_seed": args.shuffle_seed,
-        },
-    )
-    commit()
+    preds = map_ordered(run, enumerate(docs), args.workers)
+    run_config = {"task": args.task, "split": args.split, "decode": asdict(dcfg),
+                  "shuffle_seed": args.shuffle_seed}
+    with _staged(args.out, run_config) as tmp:
+        for p in preds:
+            write_canonical(os.path.join(tmp, f"{p.doc_id}.json"), p.to_record())
     print(f"decoded {len(preds)} documents -> {args.out}")
     return 0
 
@@ -259,11 +234,9 @@ def cmd_reorder(args) -> int:
         with _naming(doc):
             return replace_order(doc, reorder(doc, params, dcfg))
 
-    docs = _pmap(run, list(corpus.documents), args.workers)
-    tmp, commit = _atomic_dir(args.out)
-    save_corpus(Corpus(tuple(docs), corpus.splits), tmp)
-    _echo_config(tmp, {"decode": dcfg.__dict__, "reordered": True})
-    commit()
+    docs = map_ordered(run, corpus.documents, args.workers)
+    with _staged(args.out, {"decode": asdict(dcfg), "reordered": True}) as tmp:
+        save_corpus(Corpus(tuple(docs), corpus.splits), tmp)
     print(f"reordered {len(docs)} documents -> {args.out}")
     return 0
 
@@ -307,7 +280,7 @@ def cmd_eval(args) -> int:
         print(ent.format_table("entity-level"))
         print()
         print(word.format_table("word-level"))
-        report = {"entity": ent.to_record(), "word": word.to_record()}
+        report = {"entity": asdict(ent), "word": asdict(word)}
     elif args.task == "el":
         links = []
         for doc in docs:
@@ -339,12 +312,8 @@ def cmd_eval(args) -> int:
         raise CliError(f"unknown eval task {args.task!r}")
 
     if args.out:
-        tmp, commit = _atomic_dir(args.out)
-        with open(os.path.join(tmp, "report.json"), "w", encoding="utf-8") as f:
-            f.write(dumps_canonical(report))
-            f.write("\n")
-        _echo_config(tmp, {"task": args.task, "split": args.split})
-        commit()
+        with _staged(args.out, {"task": args.task, "split": args.split}) as tmp:
+            write_canonical(os.path.join(tmp, "report.json"), report)
     return 0
 
 
@@ -353,11 +322,8 @@ def cmd_stats(args) -> int:
     stats = metrics.dataset_stats(corpus)
     print(stats.format_table())
     if args.out:
-        tmp, commit = _atomic_dir(args.out)
-        with open(os.path.join(tmp, "stats.json"), "w", encoding="utf-8") as f:
-            f.write(dumps_canonical(stats.to_record()))
-            f.write("\n")
-        commit()
+        with _staged(args.out) as tmp:
+            write_canonical(os.path.join(tmp, "stats.json"), stats.to_record())
     return 0
 
 

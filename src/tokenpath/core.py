@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 #: Tolerance (page units) when checking that a segment box contains its words.
 #: OCR boxes are noisy; strict containment would reject real data.
@@ -320,10 +321,15 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def save_document(doc: Document, path: str) -> None:
+def write_canonical(path: str, obj) -> None:
+    """Write ``obj`` to ``path`` as canonical JSON and a newline."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(document_to_record(doc)))
+        f.write(dumps_canonical(obj))
         f.write("\n")
+
+
+def save_document(doc: Document, path: str) -> None:
+    write_canonical(path, document_to_record(doc))
 
 
 def load_document(path: str) -> Document:
@@ -353,9 +359,7 @@ def save_corpus(corpus: Corpus, directory: str) -> None:
     for doc in corpus.documents:
         save_document(doc, os.path.join(directory, f"{doc.id}.json"))
     manifest = {"splits": {k: list(v) for k, v in corpus.splits.items()}}
-    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(manifest))
-        f.write("\n")
+    write_canonical(os.path.join(directory, MANIFEST_NAME), manifest)
 
 
 def load_corpus(directory: str) -> Corpus:
@@ -376,3 +380,16 @@ def load_corpus(directory: str) -> Corpus:
 def replace_order(doc: Document, order: InputOrder) -> Document:
     """A copy of ``doc`` carrying ``order`` as its stored input order."""
     return replace(doc, input_order=tuple(order.perm))
+
+
+def map_ordered(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads when above 1.
+
+    Results keep item order, so for a pure ``fn`` the worker count never
+    changes output bytes.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -34,6 +34,7 @@ from .core import (
     InputOrder,
     Segment,
     Word,
+    map_ordered,
     validate_document,
 )
 
@@ -80,12 +81,13 @@ class GenConfig:
     test_fraction: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        words = tuple(self.words_per_doc)  # a JSON config gives a list
+        object.__setattr__(self, "words_per_doc", words)
         if self.doc_count < 1:
             raise ValueError("doc_count must be >= 1")
-        lo, hi = self.words_per_doc
-        if not (1 <= lo <= hi):
-            raise ValueError(f"empty words_per_doc range {self.words_per_doc}")
+        if len(words) != 2 or not 1 <= words[0] <= words[1]:
+            raise ValueError(f"words_per_doc must be a range (lo, hi), 1 <= lo <= hi, got {words}")
         if self.entity_types < 1:
             raise ValueError("need at least one entity type")
         for field in ("multi_row_prob", "multi_column_prob", "long_entity_prob",
@@ -143,17 +145,9 @@ def gen_corpus(config: GenConfig, workers: int = 1) -> Corpus:
     (config.seed, document index, attempt), so documents are independent of
     each other and of scheduling, and ``workers`` never changes the output.
     """
-    config.validate()
     names = type_names(config.entity_types)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            docs = tuple(
-                pool.map(lambda i: _gen_document(i, config, names), range(config.doc_count))
-            )
-    else:
-        docs = tuple(_gen_document(i, config, names) for i in range(config.doc_count))
+    docs = tuple(map_ordered(lambda i: _gen_document(i, config, names),
+                             range(config.doc_count), workers))
 
     ids = [d.id for d in docs]
     n_test = int(round(config.doc_count * config.test_fraction))

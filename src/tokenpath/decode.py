@@ -223,15 +223,14 @@ def reorder(
 ) -> InputOrder:
     """Predicted reading order for a document, as an input order.
 
-    Encodes under OCR order (harmless for order-free configs), scores the
-    (n+1)-node grid, and beam-decodes a full permutation. The result feeds
-    any downstream sequence-labeling pipeline (``core.replace_order``
-    stores it on the document).
+    Decodes under the same base order as ``decode_document`` (and training):
+    the stored input order if present, else OCR order. The result feeds any
+    downstream sequence-labeling pipeline (``core.replace_order`` stores it
+    on the document).
     """
     if rop_params.task != "rop":
         raise ValueError(f"reorder needs rop params, got task {rop_params.task!r}")
-    grid = score_document(doc, ocr_order(doc), rop_params)
-    return InputOrder(rop_decode(grid, config))
+    return InputOrder(decode_document(doc, rop_params, config).predicted_order)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import Corpus, Document, Entity, InputOrder, ocr_order
@@ -21,9 +21,6 @@ class EvalReport:
     predicted: int
     gold: int
     per_type: Mapping[str, "EvalReport"] = field(default_factory=dict)
-
-    def to_record(self) -> dict:
-        return asdict(self)
 
     def format_table(self, title: str = "") -> str:
         lines = []

@@ -48,7 +48,13 @@ N_BOX_FEATURES = 8 + 2 * 4 * len(_FREQS)
 
 TASKS = ("ner", "el", "rop", "bio")
 
-_1D_MODES = ("none", "global", "local")
+# Each 1D position mode's tables: (array name, rank kind of _rank_indices).
+_1D_TABLES = {
+    "none": (),
+    "global": (("pos1d", "global"),),
+    "local": (("pos1d_seg", "seg"), ("pos1d_word", "word")),
+}
+_1D_MODES = tuple(_1D_TABLES)
 _2D_MODES = ("word", "segment")
 
 
@@ -79,13 +85,6 @@ class EncoderConfig:
             raise ValueError(f"use_1d_position must be one of {_1D_MODES}")
         if self.use_2d_position not in _2D_MODES:
             raise ValueError(f"use_2d_position must be one of {_2D_MODES}")
-
-    def to_record(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_record(rec: Mapping) -> "EncoderConfig":
-        return EncoderConfig(**rec)
 
 
 def relation_count(task: str, n_types: int) -> int:
@@ -124,11 +123,8 @@ def init_params(config: EncoderConfig, task: str, entity_types: Sequence[str]) -
     a: dict[str, np.ndarray] = {}
     a["tok_emb"] = rng.normal(0.0, 0.5, (config.vocab_buckets, d))
     a["pos2d_w"] = rng.normal(0.0, 0.5 / np.sqrt(N_BOX_FEATURES), (N_BOX_FEATURES, d))
-    if config.use_1d_position == "global":
-        a["pos1d"] = rng.normal(0.0, 0.3, (MAX_SEQUENCE, d))
-    elif config.use_1d_position == "local":
-        a["pos1d_seg"] = rng.normal(0.0, 0.3, (MAX_SEQUENCE, d))
-        a["pos1d_word"] = rng.normal(0.0, 0.3, (MAX_SEQUENCE, d))
+    for name, _ in _1D_TABLES[config.use_1d_position]:
+        a[name] = rng.normal(0.0, 0.3, (MAX_SEQUENCE, d))
     for l in range(config.mlp_layers):
         a[f"enc_w{l}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
         a[f"enc_b{l}"] = np.zeros(d)
@@ -221,17 +217,17 @@ def _rank_indices(feats: DocFeatures, order: InputOrder) -> dict[str, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _pos1d_sum(params: ModelParams, feats: DocFeatures, order: InputOrder) -> np.ndarray | None:
-    cfg = params.config
-    if cfg.use_1d_position == "none":
-        return None
+def _pos1d_rows(params: ModelParams, feats: DocFeatures, order: InputOrder):
+    """(table name, word-indexed row indices) for each 1D position table of
+    the config; empty for an order-free config."""
+    tables = _1D_TABLES[params.config.use_1d_position]
+    if not tables:
+        return []
     n = len(order.perm)
     if n > MAX_SEQUENCE:
         raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
     ranks = _rank_indices(feats, order)
-    if cfg.use_1d_position == "global":
-        return params.arrays["pos1d"][ranks["global"]]
-    return params.arrays["pos1d_seg"][ranks["seg"]] + params.arrays["pos1d_word"][ranks["word"]]
+    return [(name, ranks[kind]) for name, kind in tables]
 
 
 def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
@@ -251,8 +247,9 @@ def _encode_cached(feats: DocFeatures, order: InputOrder, params: ModelParams):
     a = params.arrays
     layout = feats.phi @ a["pos2d_w"]
     x = a["tok_emb"][feats.ids] + layout
-    p1 = _pos1d_sum(params, feats, order)
-    if p1 is not None:
+    rows = _pos1d_rows(params, feats, order)
+    if rows:
+        p1 = sum(a[name][idx] for name, idx in rows)
         x = x + p1
     acts = [x]
     cur = x
@@ -262,9 +259,9 @@ def _encode_cached(feats: DocFeatures, order: InputOrder, params: ModelParams):
     # The layout projection also skips the MLP, so the bilinear heads see
     # the box sinusoids linearly and can pair them into offset detectors.
     h = cur + layout
-    if cfg.positional_residual and p1 is not None:
+    if cfg.positional_residual and rows:
         h = h + p1
-    return h, (acts, p1)
+    return h, (acts, rows)
 
 
 def _pair_heads(h: np.ndarray, params: ModelParams):
@@ -478,7 +475,7 @@ def _instance_run(params, inst, rng, grads):
     input, with masks drawn here."""
     cfg = params.config
     a = params.arrays
-    h, (acts, p1) = _encode_cached(inst.features, inst.order, params)
+    h, (acts, rows) = _encode_cached(inst.features, inst.order, params)
     task = params.task
     h_head = _head_input(h, params)
     copies = [(h_head, None)]
@@ -534,9 +531,8 @@ def _instance_run(params, inst, rng, grads):
     else:
         dh = dh_head
 
-    # h = mlp_out + layout (+ p1 when positional_residual); the residuals
-    # feed pos2d_w and the 1D tables directly.
-    dp1 = dh.copy() if (cfg.positional_residual and p1 is not None) else None
+    # h = mlp_out + layout (+ the 1D rows when positional_residual); the
+    # residuals feed pos2d_w and the 1D tables directly.
     da = dh
     for l in reversed(range(cfg.mlp_layers)):
         out_l = acts[l + 1]
@@ -546,15 +542,11 @@ def _instance_run(params, inst, rng, grads):
         da = dz @ a[f"enc_w{l}"].T
     dx = da
     np.add.at(grads["tok_emb"], inst.features.ids, dx)
-    grads["pos2d_w"] += inst.features.phi.T @ (dx + dh)
-    if p1 is not None:
-        d_all = dx + dp1 if dp1 is not None else dx
-        ranks = _rank_indices(inst.features, inst.order)
-        if cfg.use_1d_position == "global":
-            np.add.at(grads["pos1d"], ranks["global"], d_all)
-        else:
-            np.add.at(grads["pos1d_seg"], ranks["seg"], d_all)
-            np.add.at(grads["pos1d_word"], ranks["word"], d_all)
+    dxh = dx + dh
+    grads["pos2d_w"] += inst.features.phi.T @ dxh
+    d1 = dxh if cfg.positional_residual else dx
+    for name, idx in rows:
+        np.add.at(grads[name], idx, d1)
     return loss
 
 
@@ -601,7 +593,7 @@ def grads_to_vector(params: ModelParams, grads: Mapping[str, np.ndarray]) -> np.
 def save_checkpoint(params: ModelParams, path: str) -> None:
     names = sorted(params.arrays)
     header = {
-        "config": params.config.to_record(),
+        "config": asdict(params.config),
         "task": params.task,
         "entity_types": list(params.entity_types),
         "seed": params.config.seed,
@@ -628,16 +620,29 @@ def load_checkpoint(path: str) -> ModelParams:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
         (hlen,) = struct.unpack("<Q", f.read(8))
         header = json.loads(f.read(hlen).decode("utf-8"))
+        try:
+            config = EncoderConfig(**header["config"])
+            model = init_params(config, header["task"], header["entity_types"])
+            table = {spec["name"]: tuple(spec["shape"]) for spec in header["arrays"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
+        # The header must describe exactly the arrays of the model it names.
+        want = {name: arr.shape for name, arr in model.arrays.items()}
+        if table != want:
+            raise ValueError(
+                f"{path}: array table does not match a {model.task!r} model: "
+                f"missing {sorted(want.keys() - table.keys())}, "
+                f"extra {sorted(table.keys() - want.keys())}, wrong shape "
+                f"{sorted(n for n in want.keys() & table.keys() if want[n] != table[n])}"
+            )
         arrays = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
+        for name, shape in table.items():
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape)
             if not np.isfinite(data).all():
-                raise ValueError(f"{path}: array {spec['name']!r} holds non-finite values")
-            arrays[spec["name"]] = data.astype(np.float64).copy()
+                raise ValueError(f"{path}: array {name!r} holds non-finite values")
+            arrays[name] = data.astype(np.float64).copy()
         trailing = f.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after arrays")
-    config = EncoderConfig.from_record(header["config"])
-    return ModelParams(config, header["task"], tuple(header["entity_types"]), arrays)
+    return ModelParams(config, model.task, model.entity_types, arrays)

@@ -7,7 +7,7 @@ deterministic, including which documents get shuffled input orders.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,9 +55,6 @@ class TrainLog:
     lrs: list[float] = field(default_factory=list)
     aborted: bool = False
     message: str = ""
-
-    def to_record(self) -> dict:
-        return asdict(self)
 
 
 def train(

@@ -1,9 +1,11 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from tokenpath import cli as cli_module
 from tokenpath import decode as decode_module
 from tokenpath.cli import main
 from tokenpath.core import dumps_canonical, load_corpus
@@ -12,6 +14,10 @@ from tokenpath.scorer import EncoderConfig, init_params, save_checkpoint
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 def write_config(path, record):
@@ -75,6 +81,69 @@ class TestGen:
         cfg = write_config(tmp_path / "bad.json", {"generator": {}})
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
 
+    @pytest.mark.parametrize("bad", [{"doc_count": 0}, {"words_per_doc": [5]}])
+    def test_bad_gen_config_is_a_validation_error(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "bad.json", {"gen": {**TINY_GEN["gen"], **bad}})
+        assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        assert last_error(capsys)["kind"] == "validation"
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize("damage", ["words_not_a_list", "text_not_a_string",
+                                        "manifest_not_an_object"])
+    def test_corrupt_corpus_is_a_validation_error(self, corpus_dir, capsys, damage):
+        doc_path = corpus_dir / "doc-0000.json"
+        rec = json.loads(doc_path.read_text())
+        if damage == "words_not_a_list":
+            rec["words"] = 5
+        elif damage == "text_not_a_string":
+            rec["words"][0]["text"] = 7
+        else:
+            (corpus_dir / "manifest.json").write_text("[]")
+        doc_path.write_text(json.dumps(rec))
+        assert run(["stats", "--corpus", corpus_dir]) == 1
+        err = last_error(capsys)
+        assert err["kind"] == "validation"
+        assert err["error"].startswith("cannot load corpus at ")
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + hlen])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen :])
+
+    CHECKPOINT_DAMAGE = {
+        "missing_array": "missing ['q_w0'], extra [], wrong shape []",
+        "extra_config_key": "unexpected keyword argument 'depth'",
+        "unknown_task": "unknown task 'pos'",
+    }
+
+    @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+    def test_corrupt_checkpoint_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
+                                                      damage):
+        corpus = load_corpus(str(corpus_dir))
+        params = init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), "ner",
+                             corpus.entity_types)
+        if damage == "missing_array":
+            del params.arrays["q_w0"]
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(params, str(ckpt))
+        if damage == "extra_config_key":
+            self._rewrite_header(ckpt, lambda h: h["config"].update(depth=3))
+        elif damage == "unknown_task":
+            self._rewrite_header(ckpt, lambda h: h.update(task="pos"))
+        assert run(["decode", "--task", "ner", "--corpus", corpus_dir,
+                    "--checkpoint", ckpt, "--out", tmp_path / "p"]) == 1
+        rec = last_error(capsys)
+        assert rec["kind"] == "validation"
+        assert str(ckpt) in rec["error"]
+        assert self.CHECKPOINT_DAMAGE[damage] in rec["error"]
+        assert not (tmp_path / "p").exists()
+
 
 class TestPipeline:
     def test_train_decode_eval_stats(self, tmp_path, corpus_dir, capsys):
@@ -122,7 +191,7 @@ class TestPipeline:
         ckpt.write_bytes(b"TPPCKPT1" + ckpt.read_bytes()[8:])
         assert run(["decode", "--task", "ner", "--corpus", corpus_dir,
                     "--checkpoint", ckpt, "--out", tmp_path / "p"]) == 1
-        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        rec = last_error(capsys)
         assert rec["kind"] == "validation"
         assert "TPPCKPT1" in rec["error"]
         assert not (tmp_path / "p").exists()
@@ -137,7 +206,7 @@ class TestPipeline:
         save_checkpoint(params, str(ckpt))
         assert run(["decode", "--task", "ner", "--corpus", corpus_dir,
                     "--checkpoint", ckpt, "--out", tmp_path / "p"]) == 1
-        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        rec = last_error(capsys)
         assert rec["kind"] == "validation"
         # Arrays are stored by name, so enc_b0 is the first bad one.
         assert "array 'enc_b0' holds non-finite values" in rec["error"]
@@ -164,7 +233,7 @@ class TestPipeline:
         else:
             args = ["reorder", "--corpus", corpus_dir, "--workers", 2]
         assert run(args + ["--checkpoint", ckpt, "--out", tmp_path / "p"]) == 2
-        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        rec = last_error(capsys)
         assert rec["kind"] == "ValueError"
         assert rec["error"].startswith(f"document {bad.id}: {task} grid has ")
         assert rec["error"].endswith(" NaN cells")
@@ -205,8 +274,7 @@ class TestPipeline:
         code = run(["eval", "--task", "ner", "--predictions", empty,
                     "--corpus", corpus_dir])
         assert code == 1
-        err = capsys.readouterr().err
-        rec = json.loads(err.strip().splitlines()[-1])
+        rec = last_error(capsys)
         assert rec["kind"] == "validation"
         assert "missing" in rec["error"]
 
@@ -260,6 +328,18 @@ class TestPipeline:
             if name.startswith("_"):
                 continue
             assert (p1 / name).read_bytes() == (p2 / name).read_bytes()
+
+    def test_failed_write_leaves_no_staging_directory(self, tmp_path, corpus_dir, capsys,
+                                                      monkeypatch):
+        def broken(params, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module, "save_checkpoint", broken)
+        model_cfg = write_config(tmp_path / "m.json", FAST_MODEL)
+        assert run(["train", "--task", "ner", "--corpus", corpus_dir,
+                    "--config", model_cfg, "--out", tmp_path / "model"]) == 2
+        assert last_error(capsys) == {"error": "disk full", "kind": "OSError"}
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("model")]
 
 
 class TestDeterminism:

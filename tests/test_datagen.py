@@ -13,11 +13,11 @@ from tokenpath.metrics import corpus_continuous_entity_rate
 class TestGenConfig:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            GenConfig(interleave_prob=1.5).validate()
+            GenConfig(interleave_prob=1.5)
         with pytest.raises(ValueError):
-            GenConfig(words_per_doc=(5, 2)).validate()
+            GenConfig(words_per_doc=(5, 2))
         with pytest.raises(ValueError):
-            GenConfig(doc_count=0).validate()
+            GenConfig(doc_count=0)
 
 
 class TestGenCorpus:

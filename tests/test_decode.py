@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tokenpath.core import Entity, InputOrder, ocr_order
-from tokenpath.datagen import GenConfig, gen_corpus
+from tokenpath.core import Entity, InputOrder, ocr_order, replace_order
+from tokenpath.datagen import GenConfig, gen_corpus, shuffle_order
 from tokenpath.decode import (
     DecodeConfig,
     DecodedEntity,
@@ -15,7 +15,7 @@ from tokenpath.decode import (
 )
 from tokenpath.labels import el_grid, ner_grids, rop_grid
 from tokenpath.metrics import ard, page_bleu
-from tokenpath.scorer import EncoderConfig, init_params
+from tokenpath.scorer import EncoderConfig, init_params, score_document
 
 
 def grid_from_pairs(n, pairs):
@@ -357,6 +357,17 @@ class TestReorder:
         for doc in corpus.documents:
             order = reorder(doc, params)
             assert sorted(order.perm) == list(range(doc.n_words))
+
+    def test_encodes_under_the_stored_order(self):
+        # A 1D model is decoded under the order it would be trained on: the
+        # stored input order, not OCR order.
+        doc = gen_corpus(GenConfig(doc_count=1, words_per_doc=(20, 30), seed=3)).documents[0]
+        doc = replace_order(doc, shuffle_order(doc, 1))
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="global", seed=1)
+        params = init_params(cfg, "rop", doc.entity_types)
+        stored = rop_decode(score_document(doc, InputOrder(doc.input_order), params))
+        assert stored != rop_decode(score_document(doc, ocr_order(doc), params))
+        assert reorder(doc, params).perm == stored
 
     def test_single_word_is_identity(self):
         from .test_core import make_doc

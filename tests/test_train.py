@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -126,4 +128,4 @@ class TestTrain:
 
     def test_log_record(self):
         log = TrainLog(losses=[1.0], lrs=[0.1], aborted=False, message="")
-        assert log.to_record()["losses"] == [1.0]
+        assert asdict(log)["losses"] == [1.0]
