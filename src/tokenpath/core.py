@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -369,8 +370,16 @@ def load_corpus(directory: str) -> Corpus:
     ids: list[str] = []
     for split_ids in splits.values():
         ids.extend(split_ids)
+    # A document listed twice would be trained on twice, or leak from test
+    # into training when listed in two splits.
+    repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+    if repeated:
+        raise ValueError(f"manifest lists document ids more than once: {repeated[:5]}")
     ids.sort()
     docs = tuple(load_document(os.path.join(directory, f"{i}.json")) for i in ids)
+    for i, doc in zip(ids, docs):
+        if doc.id != i:
+            raise ValueError(f"{i}.json holds document id {doc.id!r}, not {i!r}")
     types = {d.entity_types for d in docs}
     if len(types) > 1:
         raise ValueError(f"inconsistent entity type registries across corpus: {types}")

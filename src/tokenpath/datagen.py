@@ -97,6 +97,16 @@ class GenConfig:
                 raise ValueError(f"{field} must be in [0, 1], got {v}")
         if self.page_width <= 0 or self.page_height <= 0:
             raise ValueError("page size must be positive")
+        n_train, n_val, n_test = self.split_sizes()
+        if n_train < 0:
+            raise ValueError(f"val_fraction + test_fraction exceed the corpus: {n_val} val "
+                             f"and {n_test} test documents of {self.doc_count}")
+
+    def split_sizes(self) -> tuple[int, int, int]:
+        """(train, val, test) document counts; val and test are rounded."""
+        n_test = int(round(self.doc_count * self.test_fraction))
+        n_val = int(round(self.doc_count * self.val_fraction))
+        return self.doc_count - n_val - n_test, n_val, n_test
 
 
 def type_names(count: int) -> tuple[str, ...]:
@@ -150,11 +160,7 @@ def gen_corpus(config: GenConfig, workers: int = 1) -> Corpus:
                              range(config.doc_count), workers))
 
     ids = [d.id for d in docs]
-    n_test = int(round(config.doc_count * config.test_fraction))
-    n_val = int(round(config.doc_count * config.val_fraction))
-    n_train = config.doc_count - n_val - n_test
-    if n_train < 0:
-        raise ValueError("val_fraction + test_fraction exceed the corpus")
+    n_train, n_val, _ = config.split_sizes()
     splits = {
         "train": tuple(ids[:n_train]),
         "val": tuple(ids[n_train : n_train + n_val]),

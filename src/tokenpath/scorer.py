@@ -115,32 +115,42 @@ class ModelParams:
         return relation_count(self.task, len(self.entity_types))
 
 
-def init_params(config: EncoderConfig, task: str, entity_types: Sequence[str]) -> ModelParams:
+def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
+    """Name -> (shape, init scale) of every array of a model, in the order
+    ``init_params`` draws them; scale 0.0 means zeros (no draw)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    rng = np.random.default_rng(config.seed)
     d = config.hidden_dim
-    a: dict[str, np.ndarray] = {}
-    a["tok_emb"] = rng.normal(0.0, 0.5, (config.vocab_buckets, d))
-    a["pos2d_w"] = rng.normal(0.0, 0.5 / np.sqrt(N_BOX_FEATURES), (N_BOX_FEATURES, d))
+    w = 1.0 / np.sqrt(d)
+    table = {
+        "tok_emb": ((config.vocab_buckets, d), 0.5),
+        "pos2d_w": ((N_BOX_FEATURES, d), 0.5 / np.sqrt(N_BOX_FEATURES)),
+    }
     for name, _ in _1D_TABLES[config.use_1d_position]:
-        a[name] = rng.normal(0.0, 0.3, (MAX_SEQUENCE, d))
+        table[name] = ((MAX_SEQUENCE, d), 0.3)
     for l in range(config.mlp_layers):
-        a[f"enc_w{l}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
-        a[f"enc_b{l}"] = np.zeros(d)
+        table[f"enc_w{l}"] = ((d, d), w)
+        table[f"enc_b{l}"] = ((d,), 0.0)
     for t in range(relation_count(task, len(entity_types))):
-        a[f"q_w{t}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
-        a[f"q_b{t}"] = np.zeros(d)
-        a[f"k_w{t}"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
-        a[f"k_b{t}"] = np.zeros(d)
+        table[f"q_w{t}"] = ((d, d), w)
+        table[f"q_b{t}"] = ((d,), 0.0)
+        table[f"k_w{t}"] = ((d, d), w)
+        table[f"k_b{t}"] = ((d,), 0.0)
     if task == "rop":
-        a["aux_emb"] = rng.normal(0.0, 0.5, d)
+        table["aux_emb"] = ((d,), 0.5)
     if task == "bio":
         n_tags = 2 * len(entity_types) + 1
-        a["cls_w"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, n_tags))
-        a["cls_wp"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, n_tags))
-        a["cls_wn"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, n_tags))
-        a["cls_b"] = np.zeros(n_tags)
+        for name in ("cls_w", "cls_wp", "cls_wn"):
+            table[name] = ((d, n_tags), w)
+        table["cls_b"] = ((n_tags,), 0.0)
+    return table
+
+
+def init_params(config: EncoderConfig, task: str, entity_types: Sequence[str]) -> ModelParams:
+    table = _param_table(config, task, entity_types)
+    rng = np.random.default_rng(config.seed)
+    a = {name: rng.normal(0.0, scale, shape) if scale else np.zeros(shape)
+         for name, (shape, scale) in table.items()}
     return ModelParams(config, task, tuple(entity_types), a)
 
 
@@ -215,19 +225,27 @@ def _rank_indices(feats: DocFeatures, order: InputOrder) -> dict[str, np.ndarray
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
+# Training runs the encoder and the head projections on the rows of several
+# documents at once, stacked in document order. They are row-wise products
+# against untransposed weights, so each row gets the bits it would get alone
+# (one exception: numpy multiplies a lone row by gemv, not gemm, so a
+# one-word document may differ in the last bit). Products against transposed
+# weights and every sum over rows stay per document in the backward pass.
 
 
-def _pos1d_rows(params: ModelParams, feats: DocFeatures, order: InputOrder):
-    """(table name, word-indexed row indices) for each 1D position table of
-    the config; empty for an order-free config."""
+def _pos1d_rows(params: ModelParams, feats: Sequence[DocFeatures], orders: Sequence[InputOrder]):
+    """(table name, row index per stacked word) for each 1D position table
+    of the config; empty for an order-free config."""
     tables = _1D_TABLES[params.config.use_1d_position]
     if not tables:
         return []
-    n = len(order.perm)
-    if n > MAX_SEQUENCE:
-        raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
-    ranks = _rank_indices(feats, order)
-    return [(name, ranks[kind]) for name, kind in tables]
+    ranks = []
+    for f, order in zip(feats, orders):
+        n = len(order.perm)
+        if n > MAX_SEQUENCE:
+            raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
+        ranks.append(_rank_indices(f, order))
+    return [(name, np.concatenate([r[kind] for r in ranks])) for name, kind in tables]
 
 
 def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
@@ -238,61 +256,80 @@ def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
     Only the 1D position tables cap the length: with 1D positions on, a
     document of more than ``MAX_SEQUENCE`` words raises ``ValueError``.
     """
-    h, _ = _encode_cached(featurize(doc, params.config), order, params)
+    h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
     return h
 
 
-def _encode_cached(feats: DocFeatures, order: InputOrder, params: ModelParams):
+def _encoder_forward(
+    feats: Sequence[DocFeatures], orders: Sequence[InputOrder], params: ModelParams
+):
+    """Hidden states of the documents' words stacked in document order,
+    plus what the backward pass reads: (ids, phi, activations, 1D rows)."""
     cfg = params.config
     a = params.arrays
-    layout = feats.phi @ a["pos2d_w"]
-    x = a["tok_emb"][feats.ids] + layout
-    rows = _pos1d_rows(params, feats, order)
+    ids = np.concatenate([f.ids for f in feats])
+    phi = np.concatenate([f.phi for f in feats])
+    rows = _pos1d_rows(params, feats, orders)
+    layout = phi @ a["pos2d_w"]
+    x = a["tok_emb"][ids]
+    x += layout
     if rows:
         p1 = sum(a[name][idx] for name, idx in rows)
-        x = x + p1
+        x += p1
     acts = [x]
-    cur = x
     for l in range(cfg.mlp_layers):
-        cur = np.tanh(cur @ a[f"enc_w{l}"] + a[f"enc_b{l}"])
-        acts.append(cur)
+        z = acts[-1] @ a[f"enc_w{l}"]
+        z += a[f"enc_b{l}"]
+        acts.append(np.tanh(z, out=z))
     # The layout projection also skips the MLP, so the bilinear heads see
     # the box sinusoids linearly and can pair them into offset detectors.
-    h = cur + layout
+    h = acts[-1] + layout
     if cfg.positional_residual and rows:
-        h = h + p1
-    return h, (acts, rows)
+        h += p1
+    return h, (ids, phi, acts, rows)
 
 
-def _pair_heads(h: np.ndarray, params: ModelParams):
-    """Pair scores plus the per-relation queries and keys behind them.
+def _head_order(n_relations: int):
+    """(q or k, relation type) of each pair head in stacking order: every
+    query head, then every key head."""
+    return [(p, t) for p in "qk" for t in range(n_relations)]
 
-    score[t, i, j] = (W_q^t h_i + b_q^t) . (W_k^t h_j + b_k^t) / sqrt(d)
-    """
-    d = params.config.hidden_dim
+
+def _queries_keys(rows: np.ndarray, params: ModelParams) -> np.ndarray:
+    """(2T, rows, d): each pair head of ``_head_order`` applied to stacked
+    head rows; Q[t] = rows @ W_q^t + b_q^t."""
     a = params.arrays
-    scores = np.empty((params.n_relations, h.shape[0], h.shape[0]))
-    qs, ks = [], []
-    for t in range(params.n_relations):
-        qs.append(h @ a[f"q_w{t}"] + a[f"q_b{t}"])
-        ks.append(h @ a[f"k_w{t}"] + a[f"k_b{t}"])
-        scores[t] = (qs[t] @ ks[t].T) / np.sqrt(d)
-    return scores, qs, ks
+    heads = _head_order(params.n_relations)
+    qk = np.empty((len(heads),) + rows.shape)
+    for j, (p, t) in enumerate(heads):
+        np.matmul(rows, a[f"{p}_w{t}"], out=qk[j])
+        qk[j] += a[f"{p}_b{t}"]
+    return qk
+
+
+def _pair_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """score[t, i, j] = q[t, i] . k[t, j] / sqrt(d) for one document's rows."""
+    return np.matmul(q, k.transpose(0, 2, 1)) / np.sqrt(q.shape[-1])
 
 
 def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
     """Bilinear pair scores, shape (n_relations, m, m) where m = h rows."""
     if h.size == 0:
         raise ValueError("empty hidden states")
-    return _pair_heads(h, params)[0]
+    qk = _queries_keys(h, params)
+    return _pair_scores(qk[: params.n_relations], qk[params.n_relations :])
 
 
-def _head_input(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The rows the task head reads: for rop, the auxiliary start node
-    ``aux_emb`` goes first, so row i+1 is word i."""
+def _head_input(h: np.ndarray, offsets: np.ndarray, params: ModelParams):
+    """The rows the task head reads and each document's row offsets in
+    them: for rop, the auxiliary start node ``aux_emb`` goes first in each
+    document, so its row i+1 is word i."""
     if params.task == "rop":
-        return np.vstack([params.arrays["aux_emb"][None, :], h])
-    return h
+        aux = params.arrays["aux_emb"][None]
+        spans = zip(offsets[:-1], offsets[1:])
+        rows = np.concatenate([r for lo, hi in spans for r in (aux, h[lo:hi])])
+        return rows, offsets + np.arange(len(offsets))
+    return h, offsets
 
 
 def _bio_logits(hc: np.ndarray, perm: np.ndarray, a: Mapping[str, np.ndarray]):
@@ -318,7 +355,8 @@ def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.
     h = encode(doc, order, params)
     if params.task == "bio":
         return _bio_logits(h, np.asarray(order.perm), params.arrays)[0]
-    scores = global_pointer_scores(_head_input(h, params), params)
+    rows, _ = _head_input(h, np.array([0, len(h)]), params)
+    scores = global_pointer_scores(rows, params)
     return scores[0] if params.task == "rop" else scores
 
 
@@ -352,16 +390,16 @@ def _grid_loss_grad(scores, grid_labels, want_grad=True):
     total = 0.0
     ds = np.zeros_like(scores) if want_grad else None
     for t in range(scores.shape[0]):
-        s = scores[t]
         pos = grid_labels[t].astype(bool)
         neg = ~pos
-        lse_n = _log1p_sumexp(s[neg])
-        lse_p = _log1p_sumexp(-s[pos])
+        s_neg = scores[t][neg]
+        neg_s_pos = -scores[t][pos]
+        lse_n = _log1p_sumexp(s_neg)
+        lse_p = _log1p_sumexp(neg_s_pos)
         total += lse_n + lse_p
         if want_grad:
-            dst = ds[t]
-            dst[neg] = np.exp(s[neg] - lse_n)
-            dst[pos] = -np.exp(-s[pos] - lse_p)
+            ds[t][neg] = np.exp(s_neg - lse_n)
+            ds[t][pos] = -np.exp(neg_s_pos - lse_p)
     return total, ds
 
 
@@ -447,19 +485,41 @@ def task_loss(params, instances, *, train_mode=False, rng=None) -> float:
     return loss
 
 
+# Documents per stacked pass: groups of at most this many words (one
+# document at least). Each group's stacked arrays stay a few hundred KB, so
+# the allocator reuses their memory from group to group and step to step;
+# stacking a whole batch of 64 forms (several MB, freed after every step)
+# made each step fault its memory in again and run slower.
+_GROUP_ROWS = 256
+
+
 def _run_batch(params, instances, train_mode, rng, want_grad):
-    cfg = params.config
     grads = {k: np.zeros_like(v) for k, v in params.arrays.items()} if want_grad else None
-    total = 0.0
-    use_masks = train_mode and cfg.dropout_rate > 0.0
+    use_masks = train_mode and params.config.dropout_rate > 0.0
     if use_masks and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
+    # Every pair-head gradient of the batch in one array, columns in
+    # _head_order and the bias gradients in a last row; the backward pass
+    # reads the head weights as one (2T, d, d) stack, transposed.
+    d, n_rel = params.config.hidden_dim, params.n_relations
+    head_grads = w_t = None
+    if want_grad and n_rel:
+        head_grads = np.zeros((d + 1, 2 * n_rel * d))
+        w = [params.arrays[f"{p}_w{t}"] for p, t in _head_order(n_rel)]
+        w_t = np.stack(w).transpose(0, 2, 1)
+    total = 0.0
     # Divergence shows up as inf/nan loss and is reported via the exception;
     # the intermediate overflow warnings are just noise on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
-        for inst in instances:
-            total += _instance_run(params, inst, rng if use_masks else None, grads)
+        for group in _groups(instances):
+            for loss in _run_group(params, group, rng if use_masks else None,
+                                   grads, head_grads, w_t):
+                total += loss
     scale = 1.0 / max(1, len(instances))
+    if head_grads is not None:
+        for j, (p, t) in enumerate(_head_order(n_rel)):
+            grads[f"{p}_w{t}"][...] = head_grads[:d, j * d : (j + 1) * d]
+            grads[f"{p}_b{t}"][...] = head_grads[d, j * d : (j + 1) * d]
     if want_grad:
         for g in grads.values():
             g *= scale
@@ -469,85 +529,127 @@ def _run_batch(params, instances, train_mode, rng, want_grad):
     return loss, grads
 
 
-def _instance_run(params, inst, rng, grads):
-    """Loss of one instance; accumulates its gradient into ``grads`` unless
-    None. With an ``rng``, the head reads K dropout-masked copies of its
-    input, with masks drawn here."""
+def _groups(instances):
+    """Consecutive runs of instances of at most ``_GROUP_ROWS`` words (one
+    instance at least)."""
+    group, words = [], 0
+    for inst in instances:
+        n = len(inst.features.ids)
+        if group and words + n > _GROUP_ROWS:
+            yield group
+            group, words = [], 0
+        group.append(inst)
+        words += n
+    if group:
+        yield group
+
+
+def _run_group(params, instances, rng, grads, head_grads, w_t):
+    """Loss of each instance, in order; accumulates their gradient into
+    ``grads`` (pair-head weights and biases into ``head_grads``, reading
+    the transposed head weights ``w_t``) unless None. With an ``rng``, the
+    head reads K dropout-masked copies of its input.
+
+    The encoder and the Q/K projections run once on the stacked rows of the
+    group, with one block per document and dropout copy. Scores, loss and
+    backward run per document, and each weight gradient is accumulated
+    document by document, so every sum keeps the order of a per-document
+    loop.
+    """
     cfg = params.config
     a = params.arrays
-    h, (acts, rows) = _encode_cached(inst.features, inst.order, params)
-    task = params.task
-    h_head = _head_input(h, params)
-    copies = [(h_head, None)]
+    grid = params.task != "bio"
+    d, n_rel = cfg.hidden_dim, params.n_relations
+    n_copies = cfg.multi_dropout_k if rng is not None else 1
+    starts = np.cumsum([0] + [len(inst.features.ids) for inst in instances])
+    h, (ids, phi, acts, rows) = _encoder_forward(
+        [inst.features for inst in instances], [inst.order for inst in instances], params)
+    h_head, offsets = _head_input(h, starts, params)
+    hc_all = h_head
     if rng is not None:
+        # A document's copies follow it: its masks are one (copies, rows, d)
+        # draw, taken from the rng in document order.
         keep = 1.0 - cfg.dropout_rate
-        masks = (rng.random((cfg.multi_dropout_k,) + h_head.shape) < keep).astype(float)
-        copies = [(h_head * m / keep, m / keep) for m in masks]
-    k_copies = len(copies)
+        take = np.concatenate([np.tile(np.arange(lo, hi), n_copies)
+                               for lo, hi in zip(offsets[:-1], offsets[1:])])
+        masks = (rng.random((len(take), d)) < keep).astype(float)
+        hc_all = h_head[take] * masks / keep
+        mscale = masks / keep
+    if grid:
+        qk_all = _queries_keys(hc_all, params)
+    if grads is not None:
+        # Gradients reaching the embedding rows, and the 1D table rows (the
+        # same array unless the 1D rows also feed h as a residual).
+        dx_all = np.empty_like(h)
+        d1_all = np.empty_like(h) if cfg.positional_residual and rows else dx_all
 
-    loss = 0.0
-    dh_head = np.zeros_like(h_head) if grads is not None else None
-    for hc, mscale in copies:
-        if task == "bio":
-            perm = np.asarray(inst.order.perm)
-            logits, prev, nxt = _bio_logits(hc, perm, a)
-            li, dlogits = _softmax_ce_grad(logits, inst.target)
-            loss += li / k_copies
+    losses = []
+    for i, inst in enumerate(instances):
+        m = offsets[i + 1] - offsets[i]
+        perm = None if grid else np.asarray(inst.order.perm)
+        loss = 0.0
+        dh_head = np.zeros((m, d)) if grads is not None else None
+        for c in range(n_copies):
+            lo = n_copies * offsets[i] + c * m
+            hc = hc_all[lo : lo + m]
+            if grid:
+                q, k = qk_all[:n_rel, lo : lo + m], qk_all[n_rel:, lo : lo + m]
+                li, ds = _grid_loss_grad(_pair_scores(q, k), inst.target, grads is not None)
+            else:
+                logits, prev, nxt = _bio_logits(hc, perm, a)
+                li, dlogits = _softmax_ce_grad(logits, inst.target)
+            loss += li / n_copies
             if grads is None:
                 continue
-            dlogits /= k_copies
-            grads["cls_w"] += hc.T @ dlogits
-            grads["cls_wp"] += prev.T @ dlogits
-            grads["cls_wn"] += nxt.T @ dlogits
-            grads["cls_b"] += dlogits.sum(axis=0)
-            dhc = dlogits @ a["cls_w"].T
-            # prev[perm[p]] = hc[perm[p-1]], nxt[perm[p]] = hc[perm[p+1]]
-            dhc[perm[:-1]] += (dlogits @ a["cls_wp"].T)[perm[1:]]
-            dhc[perm[1:]] += (dlogits @ a["cls_wn"].T)[perm[:-1]]
+            if grid:
+                ds /= np.sqrt(d) * n_copies
+                dqk = np.concatenate([np.matmul(ds, k), np.matmul(ds.transpose(0, 2, 1), q)])
+                dqk_cols = dqk.transpose(1, 0, 2).reshape(m, -1)
+                head_grads[:d] += hc.T @ dqk_cols
+                head_grads[d] += dqk_cols.sum(axis=0)
+                # sum over t of dQ_t @ W_q^t.T + dK_t @ W_k^t.T
+                back = np.matmul(dqk, w_t)
+                dhc = (back[:n_rel] + back[n_rel:]).sum(axis=0)
+            else:
+                dlogits /= n_copies
+                grads["cls_w"] += hc.T @ dlogits
+                grads["cls_wp"] += prev.T @ dlogits
+                grads["cls_wn"] += nxt.T @ dlogits
+                grads["cls_b"] += dlogits.sum(axis=0)
+                dhc = dlogits @ a["cls_w"].T
+                # prev[perm[p]] = hc[perm[p-1]], nxt[perm[p]] = hc[perm[p+1]]
+                dhc[perm[:-1]] += (dlogits @ a["cls_wp"].T)[perm[1:]]
+                dhc[perm[1:]] += (dlogits @ a["cls_wn"].T)[perm[:-1]]
+            dh_head += dhc * mscale[lo : lo + m] if rng is not None else dhc
+        losses.append(loss)
+        if grads is None:
+            continue
+        if params.task == "rop":
+            grads["aux_emb"] += dh_head[0]
+            dh = dh_head[1:]
         else:
-            scores, qs, ks = _pair_heads(hc, params)
-            li, dscores = _grid_loss_grad(scores, inst.target, want_grad=grads is not None)
-            loss += li / k_copies
-            if grads is None:
-                continue
-            dhc = np.zeros_like(hc)
-            for t in range(params.n_relations):
-                ds = dscores[t] / (np.sqrt(cfg.hidden_dim) * k_copies)
-                dq = ds @ ks[t]
-                dk = ds.T @ qs[t]
-                grads[f"q_w{t}"] += hc.T @ dq
-                grads[f"q_b{t}"] += dq.sum(axis=0)
-                grads[f"k_w{t}"] += hc.T @ dk
-                grads[f"k_b{t}"] += dk.sum(axis=0)
-                dhc += dq @ a[f"q_w{t}"].T + dk @ a[f"k_w{t}"].T
-        dh_head += dhc * mscale if mscale is not None else dhc
+            dh = dh_head
+        # h = mlp_out + layout (+ the 1D rows when positional_residual); the
+        # residuals feed pos2d_w and the 1D tables directly.
+        w = slice(starts[i], starts[i + 1])
+        da = dh
+        for l in reversed(range(cfg.mlp_layers)):
+            out_l = acts[l + 1][w]
+            dz = da * (1.0 - out_l * out_l)
+            grads[f"enc_w{l}"] += acts[l][w].T @ dz
+            grads[f"enc_b{l}"] += dz.sum(axis=0)
+            da = dz @ a[f"enc_w{l}"].T
+        dx_all[w] = da
+        dxh = da + dh
+        grads["pos2d_w"] += phi[w].T @ dxh
+        if d1_all is not dx_all:
+            d1_all[w] = dxh
 
-    if grads is None:
-        return loss
-
-    if task == "rop":
-        grads["aux_emb"] += dh_head[0]
-        dh = dh_head[1:]
-    else:
-        dh = dh_head
-
-    # h = mlp_out + layout (+ the 1D rows when positional_residual); the
-    # residuals feed pos2d_w and the 1D tables directly.
-    da = dh
-    for l in reversed(range(cfg.mlp_layers)):
-        out_l = acts[l + 1]
-        dz = da * (1.0 - out_l * out_l)
-        grads[f"enc_w{l}"] += acts[l].T @ dz
-        grads[f"enc_b{l}"] += dz.sum(axis=0)
-        da = dz @ a[f"enc_w{l}"].T
-    dx = da
-    np.add.at(grads["tok_emb"], inst.features.ids, dx)
-    dxh = dx + dh
-    grads["pos2d_w"] += inst.features.phi.T @ dxh
-    d1 = dxh if cfg.positional_residual else dx
-    for name, idx in rows:
-        np.add.at(grads[name], idx, d1)
-    return loss
+    if grads is not None:
+        np.add.at(grads["tok_emb"], ids, dx_all)
+        for name, idx in rows:
+            np.add.at(grads[name], idx, d1_all)
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +724,15 @@ def load_checkpoint(path: str) -> ModelParams:
         header = json.loads(f.read(hlen).decode("utf-8"))
         try:
             config = EncoderConfig(**header["config"])
-            model = init_params(config, header["task"], header["entity_types"])
+            task, types = header["task"], tuple(header["entity_types"])
+            want = {name: shape for name, (shape, _) in _param_table(config, task, types).items()}
             table = {spec["name"]: tuple(spec["shape"]) for spec in header["arrays"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
         # The header must describe exactly the arrays of the model it names.
-        want = {name: arr.shape for name, arr in model.arrays.items()}
         if table != want:
             raise ValueError(
-                f"{path}: array table does not match a {model.task!r} model: "
+                f"{path}: array table does not match a {task!r} model: "
                 f"missing {sorted(want.keys() - table.keys())}, "
                 f"extra {sorted(table.keys() - want.keys())}, wrong shape "
                 f"{sorted(n for n in want.keys() & table.keys() if want[n] != table[n])}"
@@ -645,4 +747,4 @@ def load_checkpoint(path: str) -> ModelParams:
         trailing = f.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after arrays")
-    return ModelParams(config, model.task, model.entity_types, arrays)
+    return ModelParams(config, task, types, arrays)

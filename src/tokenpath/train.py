@@ -105,7 +105,9 @@ def train(
     )
     warmup_steps = max(1, int(round(hyper.steps * hyper.warmup_fraction)))
     step = 0
-    snapshot = params.copy()
+    # Each update is written into the spare buffer, and the two swap: the
+    # spare then holds the parameters from before the update.
+    spare = params.copy()
     while step < hyper.steps:
         epoch_docs = batch_rng.permutation(len(docs))
         orders: dict[int, InputOrder] = {}
@@ -126,7 +128,7 @@ def train(
             except FloatingPointError as exc:
                 log.aborted = True
                 log.message = f"aborted at step {step}: {exc}"
-                return snapshot, log
+                return spare, log
             if hyper.max_grad_norm is not None:
                 norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
                 if norm > hyper.max_grad_norm:
@@ -134,9 +136,14 @@ def train(
                     for g in grads.values():
                         g *= scale
             lr = hyper.lr * min(1.0, (step + 1) / warmup_steps)
-            snapshot = params.copy()
             for name, arr in params.arrays.items():
-                arr -= lr * (grads[name] + hyper.weight_decay * arr)
+                # out = arr - lr * (grad + weight_decay * arr), in place
+                out = spare.arrays[name]
+                np.multiply(arr, hyper.weight_decay, out=out)
+                out += grads[name]
+                out *= lr
+                np.subtract(arr, out, out=out)
+            params, spare = spare, params
             log.losses.append(loss)
             log.lrs.append(lr)
             step += 1

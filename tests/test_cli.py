@@ -81,7 +81,8 @@ class TestGen:
         cfg = write_config(tmp_path / "bad.json", {"generator": {}})
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
 
-    @pytest.mark.parametrize("bad", [{"doc_count": 0}, {"words_per_doc": [5]}])
+    @pytest.mark.parametrize("bad", [{"doc_count": 0}, {"words_per_doc": [5]},
+                                     {"doc_count": 10, "val_fraction": 0.6, "test_fraction": 0.6}])
     def test_bad_gen_config_is_a_validation_error(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path / "bad.json", {"gen": {**TINY_GEN["gen"], **bad}})
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
@@ -90,22 +91,40 @@ class TestGen:
 
 
 class TestCorruptInputs:
+    # A manifest names each document once, by the id its file holds.
+    MANIFEST_DAMAGE = {
+        "listed_in_two_splits": "manifest lists document ids more than once: ['doc-0003']",
+        "listed_twice_in_one_split": "manifest lists document ids more than once: ['doc-0003']",
+        "file_holds_another_id": "doc-0000.json holds document id 'other', not 'doc-0000'",
+    }
+
     @pytest.mark.parametrize("damage", ["words_not_a_list", "text_not_a_string",
-                                        "manifest_not_an_object"])
+                                        "manifest_not_an_object", *MANIFEST_DAMAGE])
     def test_corrupt_corpus_is_a_validation_error(self, corpus_dir, capsys, damage):
         doc_path = corpus_dir / "doc-0000.json"
+        manifest_path = corpus_dir / "manifest.json"
         rec = json.loads(doc_path.read_text())
+        manifest = json.loads(manifest_path.read_text())
         if damage == "words_not_a_list":
             rec["words"] = 5
         elif damage == "text_not_a_string":
             rec["words"][0]["text"] = 7
+        elif damage == "manifest_not_an_object":
+            manifest = []
+        elif damage == "listed_in_two_splits":
+            assert "doc-0003" in manifest["splits"]["train"]
+            manifest["splits"]["test"].append("doc-0003")
+        elif damage == "listed_twice_in_one_split":
+            manifest["splits"]["train"].append("doc-0003")
         else:
-            (corpus_dir / "manifest.json").write_text("[]")
+            rec["id"] = "other"
         doc_path.write_text(json.dumps(rec))
+        manifest_path.write_text(json.dumps(manifest))
         assert run(["stats", "--corpus", corpus_dir]) == 1
         err = last_error(capsys)
         assert err["kind"] == "validation"
         assert err["error"].startswith("cannot load corpus at ")
+        assert self.MANIFEST_DAMAGE.get(damage, "") in err["error"]
 
     @staticmethod
     def _rewrite_header(path, edit):

@@ -6,6 +6,7 @@ import pytest
 
 from tokenpath.core import InputOrder, ocr_order
 from tokenpath.datagen import GenConfig, gen_corpus
+from tokenpath import scorer as scorer_module
 from tokenpath.decode import decode_document
 from tokenpath.scorer import (
     MAX_SEQUENCE,
@@ -347,6 +348,61 @@ class TestGradients:
         assert np.array_equal(grads_to_vector(p1, g1), grads_to_vector(p2, g2))
 
 
+def _five_instances(task, cfg):
+    """Entity types and instances of five documents of different lengths,
+    under shuffled word orders."""
+    docs = gen_corpus(GenConfig(doc_count=40, words_per_doc=(2, 60), seed=4)).documents
+    by_length = {d.n_words: d for d in docs}
+    picked = [by_length[n] for n in sorted(by_length)[:: max(1, len(by_length) // 5)][:5]]
+    assert len({d.n_words for d in picked}) == 5
+    rng = np.random.default_rng(6)
+    orders = [InputOrder(tuple(int(i) for i in rng.permutation(d.n_words))) for d in picked]
+    return picked[0].entity_types, [make_instance(d, o, task, cfg) for d, o in zip(picked, orders)]
+
+
+def _sequential_mean(params, instances, **kw):
+    """Mean loss and gradient of one call per instance, summed in order."""
+    loss, grads = 0.0, {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    for inst in instances:
+        li, gi = task_loss_and_grad(params, [inst], **kw)
+        loss += li
+        for k in grads:
+            grads[k] += gi[k]
+    scale = 1.0 / len(instances)
+    return loss * scale, {k: g * scale for k, g in grads.items()}
+
+
+class TestBatchEngine:
+    """One batch call computes what per-document calls compute."""
+
+    @staticmethod
+    def assert_same(params, got, want):
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(grads_to_vector(params, got[1]),
+                                   grads_to_vector(params, want[1]), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("group_rows", [20, 256])
+    @pytest.mark.parametrize("mode", ["none", "global", "local"])
+    @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
+    def test_batch_equals_mean_of_single_documents(self, task, mode, group_rows, monkeypatch):
+        # 20 rows splits the batch into several stacked groups.
+        monkeypatch.setattr(scorer_module, "_GROUP_ROWS", group_rows)
+        cfg = small_config(use_1d_position=mode, positional_residual=mode == "local")
+        types, insts = _five_instances(task, cfg)
+        params = init_params(cfg, task, types)
+        self.assert_same(params, task_loss_and_grad(params, insts),
+                         _sequential_mean(params, insts))
+
+    @pytest.mark.parametrize("task", ["ner", "rop", "bio"])
+    def test_dropout_masks_are_drawn_document_by_document(self, task):
+        cfg = small_config(use_1d_position="global", dropout_rate=0.2, multi_dropout_k=3)
+        types, insts = _five_instances(task, cfg)
+        params = init_params(cfg, task, types)
+        got = task_loss_and_grad(params, insts, train_mode=True, rng=np.random.default_rng(3))
+        want = _sequential_mean(params, insts, train_mode=True, rng=np.random.default_rng(3))
+        self.assert_same(params, got, want)
+
+
 class TestScoringMatchesTraining:
     """Decoding scores and the training loss read the same task head."""
 
@@ -389,6 +445,21 @@ class TestCheckpoint:
         assert loaded.task == "rop"
         assert loaded.config == cfg
         assert loaded.entity_types == params.entity_types
+        for name, arr in params.arrays.items():
+            assert np.array_equal(loaded.arrays[name], arr)
+
+    @pytest.mark.parametrize("task", ["ner", "rop", "bio"])
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch, task):
+        params = init_params(small_config(use_1d_position="local"), task, ("q", "a"))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(str(path))
+        assert sorted(loaded.arrays) == sorted(params.arrays)
         for name, arr in params.arrays.items():
             assert np.array_equal(loaded.arrays[name], arr)
 

@@ -85,6 +85,11 @@ class TestTrain:
         assert "aborted" in log.message
         assert len(log.losses) < 50
         assert np.isfinite(params_to_vector(params)).all()
+        # The parameters are those from before the update that poisoned the
+        # next loss: a run that stops one update earlier ends on them.
+        before, _ = train(docs, "ner", cfg,
+                          Hyper(lr=1e9, steps=len(log.losses) - 1, batch_size=6))
+        assert np.array_equal(params_to_vector(params), params_to_vector(before))
 
     @pytest.mark.parametrize("task", ["ner", "bio"])
     def test_stored_input_order_is_the_base_order(self, task):
