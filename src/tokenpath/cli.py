@@ -48,6 +48,11 @@ class CliError(ValueError):
     """Validation failure: bad arguments, config, or inputs."""
 
 
+# What a file from outside raises when a value in it is malformed, whether
+# while it is parsed or while it is read into records.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
 # ---------------------------------------------------------------------------
 # Config file handling
 # ---------------------------------------------------------------------------
@@ -65,8 +70,11 @@ def load_run_config(path: str | None) -> dict:
         return {}
     if not os.path.isfile(path):
         raise CliError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            raw = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise CliError("config file must hold a JSON object")
     for section in raw:
@@ -76,12 +84,10 @@ def load_run_config(path: str | None) -> dict:
 
 
 def build_section(raw: dict, section: str, overrides: dict | None = None):
-    cls = _SECTIONS[section]
-    fields = dict(raw.get(section, {}))
-    if overrides:
-        fields.update(overrides)
     try:
-        return cls(**fields)
+        fields = dict(raw.get(section, {}))
+        fields.update(overrides or {})
+        return _SECTIONS[section](**fields)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad [{section}] config: {exc}") from exc
 
@@ -109,12 +115,10 @@ def _staged(out: str, run_config: dict | None = None):
 def _load_corpus_checked(path: str) -> Corpus:
     if not os.path.isdir(path):
         raise CliError(f"corpus directory not found: {path}")
-    # Corpus files come from outside: a malformed value is a validation
-    # error whether it fails while loading or while validating.
     try:
         corpus = load_corpus(path)
         problems = [(doc.id, validate_document(doc)) for doc in corpus.documents]
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except _MALFORMED as exc:
         raise CliError(f"cannot load corpus at {path}: {exc}") from exc
     bad = [{"id": doc_id, "violations": p[:5]} for doc_id, p in problems if p]
     if bad:
@@ -250,8 +254,17 @@ def _load_predictions(directory: str, ids: Sequence[str]) -> dict[str, Predictio
         if not os.path.isfile(path):
             missing.append(doc_id)
             continue
-        with open(path, "r", encoding="utf-8") as f:
-            preds[doc_id] = Prediction.from_record(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                pred = Prediction.from_record(json.load(f))
+        except _MALFORMED as exc:
+            raise CliError(f"cannot load prediction {path}: {exc}") from exc
+        if pred.doc_id != doc_id:
+            raise CliError(
+                f"cannot load prediction {path}: holds prediction id {pred.doc_id!r}, "
+                f"not {doc_id!r}"
+            )
+        preds[doc_id] = pred
     if missing:
         raise CliError(
             f"predictions missing for {len(missing)} corpus documents: {missing[:10]}"
@@ -259,57 +272,50 @@ def _load_predictions(directory: str, ids: Sequence[str]) -> dict[str, Predictio
     return preds
 
 
+# The prediction field that ``tokenpath eval`` scores, per task.
+_EVAL_FIELDS = {"ner": "entities", "bio": "entities", "el": "links", "rop": "predicted_order"}
+
+
 def cmd_eval(args) -> int:
     corpus = _load_corpus_checked(args.corpus)
     docs = _split_docs(corpus, args.split)
     preds = _load_predictions(args.predictions, [d.id for d in docs])
-    report: dict
+    field, names = _EVAL_FIELDS[args.task], corpus.entity_types
     # Each document is scored on its own and the counts summed: entity and
     # word keys hold word ids, which collide across documents.
-    if args.task in ("ner", "bio"):
-        ents, words = [], []
-        for doc in docs:
-            p = preds[doc.id]
-            if p.entities is None:
-                raise CliError(f"prediction for {doc.id} lacks entities")
-            pred = [e.to_entity() for e in p.entities]
-            ents.append(metrics.entity_f1(pred, doc.entities, corpus.entity_types))
-            words.append(metrics.word_f1(pred, doc.entities, doc.n_words, corpus.entity_types))
-        ent = metrics.sum_reports(ents)
-        word = metrics.sum_reports(words)
-        print(ent.format_table("entity-level"))
-        print()
-        print(word.format_table("word-level"))
-        report = {"entity": asdict(ent), "word": asdict(word)}
-    elif args.task == "el":
-        links = []
-        for doc in docs:
-            p = preds[doc.id]
-            if p.links is None:
-                raise CliError(f"prediction for {doc.id} lacks links")
-            links.append(metrics.link_f1(doc.entities, p.links, doc.entities, doc.links))
-        rep = metrics.sum_reports(links)
+    scores = []
+    for doc in docs:
+        got = getattr(preds[doc.id], field)
+        if got is None:
+            raise CliError(f"prediction for {doc.id} lacks {field}")
+        if args.task == "el":
+            scores.append((metrics.link_f1(doc.entities, got, doc.entities, doc.links),))
+        elif args.task == "rop":
+            if doc.gold_order is None:
+                raise CliError(f"document {doc.id} lacks gold_order")
+            gold = doc.gold_order
+            scores.append((metrics.page_bleu(got, gold), metrics.ard(got, gold)))
+        else:
+            pred = [e.to_entity() for e in got]
+            scores.append((metrics.entity_f1(pred, doc.entities, names),
+                           metrics.word_f1(pred, doc.entities, names)))
+    columns = list(zip(*scores))
+
+    if args.task == "el":
+        rep = metrics.sum_reports(columns[0])
         report = {"precision": rep.precision, "recall": rep.recall, "f1": rep.f1, "links": rep.gold}
         print(f"link precision {rep.precision:.4f} recall {rep.recall:.4f} f1 {rep.f1:.4f} "
               f"(gold links: {rep.gold})")
     elif args.task == "rop":
-        bleus, ards = [], []
-        for doc in docs:
-            p = preds[doc.id]
-            if p.predicted_order is None:
-                raise CliError(f"prediction for {doc.id} lacks predicted_order")
-            if doc.gold_order is None:
-                raise CliError(f"document {doc.id} lacks gold_order")
-            bleus.append(metrics.page_bleu(p.predicted_order, doc.gold_order))
-            ards.append(metrics.ard(p.predicted_order, doc.gold_order))
-        report = {
-            "bleu": float(np.mean(bleus)),
-            "ard": float(np.mean(ards)),
-            "pages": len(bleus),
-        }
-        print(f"page bleu {report['bleu']:.2f}  ard {report['ard']:.4f}  pages {len(bleus)}")
+        bleu, ard = (float(np.mean(c)) for c in columns)
+        report = {"bleu": bleu, "ard": ard, "pages": len(docs)}
+        print(f"page bleu {bleu:.2f}  ard {ard:.4f}  pages {len(docs)}")
     else:
-        raise CliError(f"unknown eval task {args.task!r}")
+        ent, word = (metrics.sum_reports(c) for c in columns)
+        print(ent.format_table("entity-level"))
+        print()
+        print(word.format_table("word-level"))
+        report = {"entity": asdict(ent), "word": asdict(word)}
 
     if args.out:
         with _staged(args.out, {"task": args.task, "split": args.split}) as tmp:

@@ -53,76 +53,52 @@ def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> lis
     Per type: keep pairs scoring above the threshold; deduplicate so each
     token keeps at most its best outgoing and best incoming edge (ties go
     to the lower end index, then the lower begin index); follow successor
-    pointers from tokens that have an out-edge but no in-edge; a revisit of
-    the current path stops the walk, and leftover pure cycles are emitted
-    starting from their lowest-index token. Above-threshold diagonal cells
-    not absorbed into any path become singleton entities. Finally, entities
-    across all types are ranked by mean edge score and capped at
-    ``max_entities``.
+    pointers from tokens that have an out-edge but no in-edge; leftover
+    pure cycles are emitted starting from their lowest-index token.
+    Above-threshold diagonal cells not absorbed into any path become
+    singleton entities. Finally, entities across all types are ranked by
+    mean edge score and capped at ``max_entities``. ``+inf`` cells are
+    edges like any other.
 
     Raises ``ValueError`` if the grids hold NaN cells.
     """
     if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
         raise ValueError(f"expected (types, n, n) scores, got {scores.shape}")
     _reject_nan(scores, "ner grid")
+    n_types, n = scores.shape[:2]
+    off = scores.copy()
+    diag = np.arange(n)
+    off[:, diag, diag] = -np.inf
+    off[off <= config.threshold] = -np.inf
+    # Each begin keeps its best edge, then each end its best kept edge;
+    # argmax takes the first on ties, so the lower end, then the lower begin.
+    kept = np.full_like(off, -np.inf)
+    kept[np.arange(n_types)[:, None], diag, off.argmax(axis=2)] = off.max(axis=2)
+    types, ends = np.nonzero(kept.max(axis=1) > -np.inf)
+    begins = kept.argmax(axis=1)[types, ends]
+    succ: list[dict[int, int]] = [{} for _ in range(n_types)]
+    for t, i, j in zip(types.tolist(), begins.tolist(), ends.tolist()):
+        succ[t][i] = j
+    singles = scores[:, diag, diag] > config.threshold
+
     out: list[DecodedEntity] = []
-    n = scores.shape[1]
-    for t in range(scores.shape[0]):
-        s = scores[t]
-        diag = np.diag(s).copy()
-        off = s.copy()
-        np.fill_diagonal(off, -np.inf)
-        off[off <= config.threshold] = -np.inf
-
-        # Best outgoing edge per begin token; argmax takes the first (lowest
-        # end index) on ties.
-        best_end = off.argmax(axis=1)
-        begins = np.flatnonzero(np.isfinite(off[np.arange(n), best_end]))
-        # Best incoming edge per end token, lowest begin on ties.
-        succ: dict[int, int] = {}
-        best_in: dict[int, tuple[float, int]] = {}
-        for i in begins:
-            j = int(best_end[i])
-            sc = float(off[i, j])
-            cur = best_in.get(j)
-            if cur is None or sc > cur[0]:
-                best_in[j] = (sc, int(i))
-        for j, (_, i) in best_in.items():
-            succ[i] = j
-        has_in = set(best_in)
-
+    for t, s in enumerate(scores):
+        nxt = succ[t]
+        has_in = set(nxt.values())
         absorbed: set[int] = set()
-        paths: list[list[int]] = []
-
-        def walk(start: int) -> None:
+        # Paths start at the begins without an in-edge; whatever is left
+        # sits on a pure cycle, entered at its lowest token.
+        for start in sorted(nxt, key=lambda i: (i in has_in, i)):
+            if start in absorbed:
+                continue
             path = [start]
-            seen = {start}
-            cur = start
-            while cur in succ:
-                nxt = succ[cur]
-                if nxt in seen:
-                    break
-                path.append(nxt)
-                seen.add(nxt)
-                cur = nxt
-            paths.append(path)
+            while path[-1] in nxt and nxt[path[-1]] != start:
+                path.append(nxt[path[-1]])
             absorbed.update(path)
-
-        for start in sorted(set(succ) - has_in):
-            walk(start)
-        # Whatever still has an out-edge now sits on a pure cycle.
-        while True:
-            rest = sorted(set(succ) - absorbed)
-            if not rest:
-                break
-            walk(rest[0])
-
-        for path in paths:
-            edge_scores = [s[a, b] for a, b in zip(path, path[1:])]
-            out.append(DecodedEntity(t, tuple(path), float(np.mean(edge_scores))))
-        for i in np.flatnonzero(diag > config.threshold):
-            if int(i) not in absorbed:
-                out.append(DecodedEntity(t, (int(i),), float(diag[i])))
+            out.append(DecodedEntity(t, tuple(path), float(s[path[:-1], path[1:]].mean())))
+        for i in np.flatnonzero(singles[t]).tolist():
+            if i not in absorbed:
+                out.append(DecodedEntity(t, (i,), float(s[i, i])))
 
     out.sort(key=lambda e: (-e.confidence, e.type_id, e.word_indices))
     out = out[: config.max_entities]

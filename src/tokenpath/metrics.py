@@ -23,35 +23,41 @@ class EvalReport:
     per_type: Mapping[str, "EvalReport"] = field(default_factory=dict)
 
     def format_table(self, title: str = "") -> str:
-        lines = []
-        if title:
-            lines.append(title)
+        lines = [title] if title else []
         lines.append(f"{'type':<16} {'prec':>7} {'rec':>7} {'f1':>7} {'support':>8}")
-        for name, sub in sorted(self.per_type.items()):
+        for name, rep in [*sorted(self.per_type.items()), ("micro", self)]:
             lines.append(
-                f"{name:<16} {sub.precision:7.4f} {sub.recall:7.4f} "
-                f"{sub.f1:7.4f} {sub.gold:8d}"
+                f"{name:<16} {rep.precision:7.4f} {rep.recall:7.4f} "
+                f"{rep.f1:7.4f} {rep.gold:8d}"
             )
-        lines.append(
-            f"{'micro':<16} {self.precision:7.4f} {self.recall:7.4f} "
-            f"{self.f1:7.4f} {self.gold:8d}"
-        )
         return "\n".join(lines)
 
 
-def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
+def _report(correct: int, predicted: int, gold: int, per_type=None) -> EvalReport:
     # Empty vs empty counts as vacuous success; empty vs non-empty as failure.
     if predicted == 0 and gold == 0:
-        return 1.0, 1.0, 1.0
-    p = correct / predicted if predicted else 0.0
-    r = correct / gold if gold else 0.0
-    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f1
-
-
-def _report(correct: int, predicted: int, gold: int, per_type=None) -> EvalReport:
-    p, r, f1 = _prf(correct, predicted, gold)
+        p = r = f1 = 1.0
+    else:
+        p = correct / predicted if predicted else 0.0
+        r = correct / gold if gold else 0.0
+        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return EvalReport(p, r, f1, correct, predicted, gold, per_type or {})
+
+
+def _typed_f1(pred: Counter, gold: Counter, type_names: Sequence[str]) -> EvalReport:
+    """Micro P/R/F1 of two multisets of ``(type id, ...)`` keys, matched
+    one-to-one by multiset intersection, with one report per type present
+    in either."""
+    both = pred & gold
+    counts: dict[int, list[int]] = {}
+    for i, keys in enumerate((both, pred, gold)):
+        for key, c in keys.items():
+            counts.setdefault(key[0], [0, 0, 0])[i] += c
+    per_type = {
+        (type_names[t] if t < len(type_names) else str(t)): _report(*counts[t])
+        for t in sorted(counts)
+    }
+    return _report(*(sum(keys.values()) for keys in (both, pred, gold)), per_type)
 
 
 def entity_f1(
@@ -63,18 +69,9 @@ def entity_f1(
     type and its full ordered word-index sequence equal a gold entity's.
     Matching is one-to-one via multiset intersection.
     """
-    pred_keys = Counter(e.key() for e in pred)
-    gold_keys = Counter(e.key() for e in gold)
-    correct = sum((pred_keys & gold_keys).values())
-
-    per_type: dict[str, EvalReport] = {}
-    type_ids = sorted({e.type_id for e in pred} | {e.type_id for e in gold})
-    for t in type_ids:
-        pt = Counter(k for k in pred_keys.elements() if k[0] == t)
-        gt = Counter(k for k in gold_keys.elements() if k[0] == t)
-        name = type_names[t] if t < len(type_names) else str(t)
-        per_type[name] = _report(sum((pt & gt).values()), sum(pt.values()), sum(gt.values()))
-    return _report(correct, len(pred), len(gold), per_type)
+    return _typed_f1(
+        Counter(e.key() for e in pred), Counter(e.key() for e in gold), type_names
+    )
 
 
 def sum_reports(reports: Iterable[EvalReport]) -> EvalReport:
@@ -85,25 +82,20 @@ def sum_reports(reports: Iterable[EvalReport]) -> EvalReport:
     one call would let a prediction in one document match gold in another;
     score each document on its own and sum with this instead.
     """
-
-    def add(acc: list[int], rep: EvalReport) -> None:
-        acc[0] += rep.correct
-        acc[1] += rep.predicted
-        acc[2] += rep.gold
-
-    totals = [0, 0, 0]
-    per_type: dict[str, list[int]] = {}
-    for rep in reports:
-        add(totals, rep)
-        for name, sub in rep.per_type.items():
-            add(per_type.setdefault(name, [0, 0, 0]), sub)
-    return _report(*totals, {name: _report(*c) for name, c in sorted(per_type.items())})
+    reports = list(reports)
+    names = sorted({name for rep in reports for name in rep.per_type})
+    return _report(
+        sum(rep.correct for rep in reports),
+        sum(rep.predicted for rep in reports),
+        sum(rep.gold for rep in reports),
+        {name: sum_reports(rep.per_type[name] for rep in reports if name in rep.per_type)
+         for name in names},
+    )
 
 
 def word_f1(
     pred: Sequence[Entity],
     gold: Sequence[Entity],
-    n_words: int,
     type_names: Sequence[str] = (),
 ) -> EvalReport:
     """Per-word typed F1: each word carries the type of the first entity that
@@ -111,25 +103,14 @@ def word_f1(
     overstates quality on disordered inputs.
     """
 
-    def word_types(entities: Sequence[Entity]) -> dict[int, int]:
-        out: dict[int, int] = {}
+    def typed_words(entities: Sequence[Entity]) -> Counter:
+        first: dict[int, int] = {}
         for e in entities:
             for w in e.word_indices:
-                out.setdefault(w, e.type_id)
-        return out
+                first.setdefault(w, e.type_id)
+        return Counter((t, w) for w, t in first.items())
 
-    pt, gt = word_types(pred), word_types(gold)
-    correct = sum(1 for w, t in pt.items() if gt.get(w) == t)
-    per_type: dict[str, EvalReport] = {}
-    for t in sorted(set(pt.values()) | set(gt.values())):
-        c = sum(1 for w, ty in pt.items() if ty == t and gt.get(w) == t)
-        name = type_names[t] if t < len(type_names) else str(t)
-        per_type[name] = _report(
-            c,
-            sum(1 for ty in pt.values() if ty == t),
-            sum(1 for ty in gt.values() if ty == t),
-        )
-    return _report(correct, len(pt), len(gt), per_type)
+    return _typed_f1(typed_words(pred), typed_words(gold), type_names)
 
 
 def link_f1(
@@ -218,18 +199,7 @@ def _as_sequence(order) -> Sequence[int]:
 def continuous_entity_rate(doc: Document, order: InputOrder | Sequence[int]) -> float | None:
     """Fraction of entities whose words sit at consecutive ranks of ``order``
     in the entity's own direction. None when the document has no entities."""
-    if not doc.entities:
-        return None
-    return _continuous_count(doc, order) / len(doc.entities)
-
-
-def _continuous_count(doc: Document, order: InputOrder | Sequence[int]) -> int:
-    rank = {w: i for i, w in enumerate(_as_sequence(order))}
-    count = 0
-    for e in doc.entities:
-        ranks = [rank[w] for w in e.word_indices]
-        count += all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
-    return count
+    return corpus_continuous_entity_rate([doc], [order])
 
 
 def corpus_continuous_entity_rate(
@@ -239,9 +209,11 @@ def corpus_continuous_entity_rate(
     excluded from the aggregate."""
     cont = total = 0
     for doc, order in zip(docs, orders):
-        if doc.entities:
-            cont += _continuous_count(doc, order)
-            total += len(doc.entities)
+        rank = {w: i for i, w in enumerate(_as_sequence(order))}
+        for e in doc.entities:
+            ranks = [rank[w] for w in e.word_indices]
+            cont += all(b == a + 1 for a, b in zip(ranks, ranks[1:]))
+        total += len(doc.entities)
     return cont / total if total else None
 
 

@@ -163,6 +163,44 @@ class TestCorruptInputs:
         assert self.CHECKPOINT_DAMAGE[damage] in rec["error"]
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"gen": {"doc_count": 12,', "cannot read config file "),
+        ('{"gen": 5}', "bad [gen] config: "),
+    ], ids=["truncated_json", "section_not_an_object"])
+    def test_malformed_config_is_a_validation_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        err = last_error(capsys)
+        assert err["kind"] == "validation"
+        assert err["error"].startswith(message)
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    PREDICTION_DAMAGE = {
+        "truncated_json": '{"id": "ID", "entities": [',
+        "entities_not_a_list": '{"id": "ID", "entities": "oops"}',
+        "another_id": '{"id": "x", "entities": []}',
+    }
+
+    @pytest.mark.parametrize("damage", sorted(PREDICTION_DAMAGE))
+    def test_malformed_prediction_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
+                                                        damage):
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        ids = [doc.id for doc in load_corpus(str(corpus_dir)).split("test")]
+        for doc_id in ids:
+            (preds / f"{doc_id}.json").write_text(dumps_canonical({"id": doc_id, "entities": []}))
+        bad = preds / f"{ids[1]}.json"
+        bad.write_text(self.PREDICTION_DAMAGE[damage].replace("ID", ids[1]))
+        assert run(["eval", "--task", "ner", "--predictions", preds, "--corpus", corpus_dir,
+                    "--out", tmp_path / "report"]) == 1
+        err = last_error(capsys)
+        assert err["kind"] == "validation"
+        assert err["error"].startswith(f"cannot load prediction {bad}: ")
+        if damage == "another_id":
+            assert err["error"].endswith(f"holds prediction id 'x', not {ids[1]!r}")
+        assert not (tmp_path / "report").exists()
+
 
 class TestPipeline:
     def test_train_decode_eval_stats(self, tmp_path, corpus_dir, capsys):
@@ -286,6 +324,26 @@ class TestPipeline:
         correct = sum(len(keys(docs[(i + 1) % len(docs)]) & keys(d)) for i, d in enumerate(docs))
         assert report["entity"]["correct"] == correct < report["entity"]["gold"]
         assert report["word"]["gold"] == sum(len(words(d)) for d in docs)
+
+    @pytest.mark.parametrize("task, field", [("ner", "entities"), ("bio", "entities"),
+                                             ("el", "links"), ("rop", "predicted_order")])
+    def test_eval_names_what_a_document_lacks(self, tmp_path, corpus_dir, capsys, task, field):
+        ids = [doc.id for doc in load_corpus(str(corpus_dir)).split("test")]
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for doc_id in ids:
+            rec = {"id": doc_id, field: []} if doc_id == ids[0] else {"id": doc_id}
+            (preds / f"{doc_id}.json").write_text(dumps_canonical(rec))
+        args = ["eval", "--task", task, "--predictions", preds, "--corpus", corpus_dir]
+        assert run(args) == 1
+        assert last_error(capsys)["error"] == f"prediction for {ids[1]} lacks {field}"
+        if task == "rop":
+            doc_path = corpus_dir / f"{ids[0]}.json"
+            rec = json.loads(doc_path.read_text())
+            del rec["gold_order"]
+            doc_path.write_text(json.dumps(rec))
+            assert run(args) == 1
+            assert last_error(capsys)["error"] == f"document {ids[0]} lacks gold_order"
 
     def test_eval_missing_predictions_exits_1(self, tmp_path, corpus_dir, capsys):
         empty = tmp_path / "nopreds"

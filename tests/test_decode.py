@@ -7,6 +7,7 @@ from tokenpath.decode import (
     DecodeConfig,
     DecodedEntity,
     Prediction,
+    _reject_nan,
     decode_document,
     el_decode,
     ner_decode,
@@ -28,6 +29,76 @@ def grid_from_pairs(n, pairs):
 
 def oracle(labels: np.ndarray) -> np.ndarray:
     return np.where(labels, 10.0, -10.0)
+
+
+def _reference_ner_decode(scores, config=DecodeConfig()):
+    """The dict loops ``ner_decode`` replaced, kept as its reference."""
+    if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
+        raise ValueError(f"expected (types, n, n) scores, got {scores.shape}")
+    _reject_nan(scores, "ner grid")
+    out: list[DecodedEntity] = []
+    n = scores.shape[1]
+    for t in range(scores.shape[0]):
+        s = scores[t]
+        diag = np.diag(s).copy()
+        off = s.copy()
+        np.fill_diagonal(off, -np.inf)
+        off[off <= config.threshold] = -np.inf
+
+        # Best outgoing edge per begin token; argmax takes the first (lowest
+        # end index) on ties.
+        best_end = off.argmax(axis=1)
+        begins = np.flatnonzero(np.isfinite(off[np.arange(n), best_end]))
+        # Best incoming edge per end token, lowest begin on ties.
+        succ: dict[int, int] = {}
+        best_in: dict[int, tuple[float, int]] = {}
+        for i in begins:
+            j = int(best_end[i])
+            sc = float(off[i, j])
+            cur = best_in.get(j)
+            if cur is None or sc > cur[0]:
+                best_in[j] = (sc, int(i))
+        for j, (_, i) in best_in.items():
+            succ[i] = j
+        has_in = set(best_in)
+
+        absorbed: set[int] = set()
+        paths: list[list[int]] = []
+
+        def walk(start: int) -> None:
+            path = [start]
+            seen = {start}
+            cur = start
+            while cur in succ:
+                nxt = succ[cur]
+                if nxt in seen:
+                    break
+                path.append(nxt)
+                seen.add(nxt)
+                cur = nxt
+            paths.append(path)
+            absorbed.update(path)
+
+        for start in sorted(set(succ) - has_in):
+            walk(start)
+        # Whatever still has an out-edge now sits on a pure cycle.
+        while True:
+            rest = sorted(set(succ) - absorbed)
+            if not rest:
+                break
+            walk(rest[0])
+
+        for path in paths:
+            edge_scores = [s[a, b] for a, b in zip(path, path[1:])]
+            out.append(DecodedEntity(t, tuple(path), float(np.mean(edge_scores))))
+        for i in np.flatnonzero(diag > config.threshold):
+            if int(i) not in absorbed:
+                out.append(DecodedEntity(t, (int(i),), float(diag[i])))
+
+    out.sort(key=lambda e: (-e.confidence, e.type_id, e.word_indices))
+    out = out[: config.max_entities]
+    out.sort(key=lambda e: (e.type_id, e.word_indices))
+    return out
 
 
 def _reference_rop_decode(scores, config=DecodeConfig()):
@@ -175,6 +246,34 @@ class TestNerDecode:
                     (e.type_id, tuple(int(perm[v]) for v in e.word_indices)) for e in got
                 )
                 assert mapped == gold
+
+    def test_positive_infinite_edges_are_kept(self):
+        # A certain edge is an edge like any other, begin and end alike.
+        s = grid_from_pairs(4, {(0, 1): np.inf, (1, 2): 4.0, (2, 3): np.inf})
+        got = ner_decode(s)
+        assert [e.word_indices for e in got] == [(0, 1, 2, 3)]
+        assert got[0].confidence == np.inf
+        s = grid_from_pairs(3, {(0, 1): np.inf, (1, 2): 4.0})
+        assert [e.word_indices for e in ner_decode(s)] == [(0, 1, 2)]
+
+    def test_equals_reference_loop(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for k in range(1500):
+            n = int(rng.integers(1, 41))
+            s = rng.normal(size=(int(rng.integers(1, 4)), n, n)) * float(rng.integers(1, 4))
+            if k % 3 == 0:
+                s = np.round(s)  # rounding makes ties common
+            if k % 4 == 1:
+                # A planted cycle per type, with equal or rounded edge scores.
+                for t in range(len(s)):
+                    ring = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+                    s[t, ring, np.roll(ring, 1)] = 3.0 + np.round(rng.random(len(ring)))
+            cases.append((s, [-1.0, 0.0, 0.5][k % 3], int(rng.integers(1, 200))))
+        cases.append((np.round(rng.normal(size=(3, 128, 128)), 1), 0.0, 100))
+        for s, threshold, cap in cases:
+            cfg = DecodeConfig(threshold=threshold, max_entities=cap)
+            assert ner_decode(s, cfg) == _reference_ner_decode(s, cfg)
 
     def test_nan_cells_rejected(self):
         with pytest.raises(ValueError, match="ner grid has 32 NaN cells"):

@@ -86,18 +86,18 @@ class TestSumReports:
 class TestWordF1:
     def test_identical(self):
         ents = [Entity(0, (0, 1)), Entity(1, (3,))]
-        assert word_f1(ents, ents, 5).f1 == 1.0
+        assert word_f1(ents, ents).f1 == 1.0
 
     def test_one_of_two_words_wrong_type(self):
         pred = [Entity(0, (0,)), Entity(0, (1,))]
         gold = [Entity(0, (0,)), Entity(1, (1,))]
-        assert word_f1(pred, gold, 3).f1 == 0.5
+        assert word_f1(pred, gold).f1 == 0.5
 
     def test_gap_against_entity_f1(self):
         # right words and type, wrong internal order: word level is blind
         pred = [Entity(0, (1, 0))]
         gold = [Entity(0, (0, 1))]
-        assert word_f1(pred, gold, 2).f1 == 1.0
+        assert word_f1(pred, gold).f1 == 1.0
         assert entity_f1(pred, gold).f1 == 0.0
 
 
