@@ -17,6 +17,7 @@ from tokenpath import (
     Word,
     bio_decode,
     bio_encode,
+    bio_tag_names,
     continuous_entity_rate,
     dataset_stats,
     gen_corpus,
@@ -66,10 +67,11 @@ def main():
     show_order(doc, ocr, "ocr order")
 
     print("\nBIO tags along each order:")
+    names = bio_tag_names(doc.entity_types)
     for label, order in (("gold", gold), ("ocr", ocr)):
-        tags = bio_encode(doc, order)
-        print(f"  {label:>4}: {tags}")
-        decoded = bio_decode(tags, order, doc.entity_types)
+        tag_ids = bio_encode(doc, order)
+        print(f"  {label:>4}: {[names[tag_ids[w]] for w in order.perm]}")
+        decoded = bio_decode(tag_ids, order, doc.entity_types)
         print(f"        decodes into {len(decoded)} entities "
               f"(gold has {len(doc.entities)})")
 

@@ -21,19 +21,21 @@ from tokenpath import (
     gen_corpus,
     page_bleu,
     shuffle_order,
+    sum_reports,
     train,
 )
-from tokenpath.core import InputOrder, ocr_order
+from tokenpath.core import ocr_order
 from tokenpath.decode import DecodeConfig, decode_document, reorder
 
 
 def bio_f1(docs, params, orders):
-    pred, gold = [], []
+    # Each document is scored on its own: entities hold word ids, which
+    # collide across documents.
+    reports = []
     for doc, order in zip(docs, orders):
         p = decode_document(doc, params, DecodeConfig(), order=order)
-        pred.extend(e.to_entity() for e in p.entities)
-        gold.extend(doc.entities)
-    return entity_f1(pred, gold).f1
+        reports.append(entity_f1([e.to_entity() for e in p.entities], doc.entities))
+    return sum_reports(reports).f1
 
 
 def mean_cont(docs, orders):

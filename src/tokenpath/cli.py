@@ -245,31 +245,70 @@ def cmd_reorder(args) -> int:
     return 0
 
 
-def _load_predictions(directory: str, ids: Sequence[str]) -> dict[str, Prediction]:
+def _index_problem(values, bound: int, what: str, distinct: bool = False) -> str | None:
+    seen = set()
+    for v in values:
+        if not 0 <= v < bound:
+            return f"{what} {v} is outside [0, {bound})"
+        if distinct and v in seen:
+            return f"{what} {v} repeats"
+        seen.add(v)
+    return None
+
+
+def _prediction_problem(doc: Document, field: str, got) -> str | None:
+    """The first value of a prediction's scored field that ``doc`` has no
+    word, entity or type for, or that repeats where it must not, else None.
+    A predicted order may omit tokens: ARD charges them."""
+    if field == "predicted_order":
+        return _index_problem(got, doc.n_words, "predicted_order token", distinct=True)
+    if field == "links":
+        checks = [_index_problem(link, len(doc.entities), f"link {k} entity")
+                  for k, link in enumerate(got)]
+    else:
+        checks = []
+        for k, e in enumerate(got):
+            checks += [
+                None if e.word_indices else f"entity {k} is empty",
+                _index_problem(e.word_indices, doc.n_words, f"entity {k} word", distinct=True),
+                _index_problem((e.type_id,), len(doc.entity_types), f"entity {k} type"),
+            ]
+    return next(filter(None, checks), None)
+
+
+def _load_predictions(directory: str, docs: Sequence[Document], field: str) -> list:
+    """The ``field`` of each document's prediction file, checked against
+    the document."""
     if not os.path.isdir(directory):
         raise CliError(f"predictions directory not found: {directory}")
-    missing, preds = [], {}
-    for doc_id in ids:
-        path = os.path.join(directory, f"{doc_id}.json")
+    missing, found = [], []
+    for doc in docs:
+        path = os.path.join(directory, f"{doc.id}.json")
         if not os.path.isfile(path):
-            missing.append(doc_id)
+            missing.append(doc.id)
             continue
         try:
             with open(path, "r", encoding="utf-8") as f:
                 pred = Prediction.from_record(json.load(f))
         except _MALFORMED as exc:
             raise CliError(f"cannot load prediction {path}: {exc}") from exc
-        if pred.doc_id != doc_id:
+        if pred.doc_id != doc.id:
             raise CliError(
                 f"cannot load prediction {path}: holds prediction id {pred.doc_id!r}, "
-                f"not {doc_id!r}"
+                f"not {doc.id!r}"
             )
-        preds[doc_id] = pred
+        got = getattr(pred, field)
+        if got is None:
+            raise CliError(f"prediction for {doc.id} lacks {field}")
+        problem = _prediction_problem(doc, field, got)
+        if problem:
+            raise CliError(f"bad prediction {path} for document {doc.id}: {problem}")
+        found.append(got)
     if missing:
         raise CliError(
             f"predictions missing for {len(missing)} corpus documents: {missing[:10]}"
         )
-    return preds
+    return found
 
 
 # The prediction field that ``tokenpath eval`` scores, per task.
@@ -279,20 +318,19 @@ _EVAL_FIELDS = {"ner": "entities", "bio": "entities", "el": "links", "rop": "pre
 def cmd_eval(args) -> int:
     corpus = _load_corpus_checked(args.corpus)
     docs = _split_docs(corpus, args.split)
-    preds = _load_predictions(args.predictions, [d.id for d in docs])
-    field, names = _EVAL_FIELDS[args.task], corpus.entity_types
+    if args.task == "rop":
+        for doc in docs:
+            if doc.gold_order is None:
+                raise CliError(f"document {doc.id} lacks gold_order")
+    preds = _load_predictions(args.predictions, docs, _EVAL_FIELDS[args.task])
+    names = corpus.entity_types
     # Each document is scored on its own and the counts summed: entity and
     # word keys hold word ids, which collide across documents.
     scores = []
-    for doc in docs:
-        got = getattr(preds[doc.id], field)
-        if got is None:
-            raise CliError(f"prediction for {doc.id} lacks {field}")
+    for doc, got in zip(docs, preds):
         if args.task == "el":
             scores.append((metrics.link_f1(doc.entities, got, doc.entities, doc.links),))
         elif args.task == "rop":
-            if doc.gold_order is None:
-                raise CliError(f"document {doc.id} lacks gold_order")
             gold = doc.gold_order
             scores.append((metrics.page_bleu(got, gold), metrics.ard(got, gold)))
         else:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Document, Entity, InputOrder, ocr_order
-from .labels import bio_decode, bio_tag_names
+from .labels import bio_decode
 from .scorer import ModelParams, score_document
 
 
@@ -286,12 +286,8 @@ def decode_document(
         return Prediction(doc.id, links=tuple(el_decode(output[0], doc.entities)))
     if params.task == "rop":
         return Prediction(doc.id, predicted_order=rop_decode(output, config))
-    # bio: argmax tags along the input order, then span extraction.
     _reject_nan(output, "bio logit array")
-    tag_list = bio_tag_names(params.entity_types)
-    tag_ids = output.argmax(axis=1)
-    tags = [tag_list[tag_ids[w]] for w in order.perm]
-    ents = bio_decode(tags, order, params.entity_types)
+    ents = bio_decode(output.argmax(axis=1), order, params.entity_types)
     return Prediction(
         doc.id,
         entities=tuple(DecodedEntity(e.type_id, e.word_indices, 0.0) for e in ents),

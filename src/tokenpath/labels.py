@@ -20,7 +20,7 @@ is tied to an input order by construction.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,8 +104,10 @@ def bio_tag_names(entity_types: Sequence[str]) -> list[str]:
     return tags
 
 
-def bio_encode(doc: Document, order: InputOrder) -> list[str]:
-    """Project entities onto an input order as BIO tags.
+def bio_encode(doc: Document, order: InputOrder) -> np.ndarray:
+    """Project entities onto an input order as BIO tag ids, shape (n,),
+    indexed by word: 0 is O, 2t+1 is B and 2t+2 is I of type t, named by
+    ``bio_tag_names``.
 
     Every maximal run of an entity's words that is consecutive in the input
     order AND in the entity's own order becomes an independent B/I span;
@@ -113,64 +115,47 @@ def bio_encode(doc: Document, order: InputOrder) -> list[str]:
     is precisely how disordered inputs break sequence labeling. Overlaps
     (corrupt gold only) resolve in favor of the earlier entity.
     """
-    n = doc.n_words
     inv = order.inverse()
-    tags = ["O"] * n
+    tags = [0] * doc.n_words
     for ent in doc.entities:
-        name = doc.entity_types[ent.type_id]
-        idx = ent.word_indices
-        run: list[int] = []
-        for m, w in enumerate(idx):
-            breaks_run = (
-                m > 0 and inv[w] != inv[idx[m - 1]] + 1
-            ) or tags[inv[w]] != "O"
-            if breaks_run and run:
-                _emit_bio_run(tags, run, name)
-                run = []
-            if tags[inv[w]] == "O":
-                run.append(inv[w])
-        if run:
-            _emit_bio_run(tags, run, name)
-    return tags
-
-
-def _emit_bio_run(tags: list[str], positions: list[int], name: str) -> None:
-    tags[positions[0]] = f"B-{name}"
-    for p in positions[1:]:
-        tags[p] = f"I-{name}"
+        prev = None  # input position of the entity's previous word, if tagged
+        for w in ent.word_indices:
+            if tags[w]:
+                prev = None
+                continue
+            tags[w] = 2 * ent.type_id + (2 if prev is not None and inv[w] == prev + 1 else 1)
+            prev = inv[w]
+    return np.array(tags, dtype=np.int64)
 
 
 def bio_decode(
-    tags: Sequence[str], order: InputOrder, entity_types: Sequence[str]
+    tag_ids: np.ndarray, order: InputOrder, entity_types: Sequence[str]
 ) -> list[Entity]:
-    """Extract entities from BIO tags along an input order.
+    """Extract entities from word-indexed BIO tag ids (as ``bio_encode``
+    gives) read along an input order.
 
     An I tag that does not continue a same-type span is repaired into a B,
-    the conventional fix for ill-formed sequences.
+    the conventional fix for ill-formed sequences. Raises ``ValueError`` on
+    an id outside the tag vocabulary of ``entity_types``.
     """
-    type_id: Mapping[str, int] = {name: i for i, name in enumerate(entity_types)}
-    entities: list[Entity] = []
-    cur_type: int | None = None
-    cur: list[int] = []
-
-    def flush():
-        nonlocal cur, cur_type
-        if cur:
-            entities.append(Entity(cur_type, tuple(cur)))
-        cur, cur_type = [], None
-
-    for pos, tag in enumerate(tags):
-        if tag == "O":
-            flush()
-            continue
-        mark, name = tag.split("-", 1)
-        if name not in type_id:
-            raise ValueError(f"tag {tag!r} names unknown entity type {name!r}")
-        t = type_id[name]
-        if mark == "B" or t != cur_type:
-            flush()
-            cur_type = t
-        cur.append(order.perm[pos])
-    flush()
-    return entities
-
+    ids = np.asarray(tag_ids)
+    n_tags = len(bio_tag_names(entity_types))
+    if ids.shape != (len(order),):
+        raise ValueError(f"expected {len(order)} tag ids, got shape {ids.shape}")
+    bad = ids[(ids < 0) | (ids >= n_tags)]
+    if bad.size:
+        raise ValueError(f"tag id {bad[0]} is outside the {n_tags}-tag vocabulary")
+    tags = ids.tolist()
+    spans: list[tuple[int, list[int]]] = []
+    prev = 0
+    for w in order.perm:
+        tag = tags[w]
+        if tag:
+            t, inside = divmod(tag - 1, 2)
+            # (prev - 1) // 2 is the previous tag's type, and -1 for O.
+            if inside and (prev - 1) // 2 == t:
+                spans[-1][1].append(w)
+            else:
+                spans.append((t, [w]))
+        prev = tag
+    return [Entity(t, tuple(words)) for t, words in spans]

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, InputOrder
+from .core import Document, InputOrder, dumps_canonical
 from . import labels as labels_mod
 
 MAX_SEQUENCE = 512
@@ -139,7 +139,7 @@ def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
     if task == "rop":
         table["aux_emb"] = ((d,), 0.5)
     if task == "bio":
-        n_tags = 2 * len(entity_types) + 1
+        n_tags = len(labels_mod.bio_tag_names(entity_types))
         for name in ("cls_w", "cls_wp", "cls_wn"):
             table[name] = ((d, n_tags), w)
         table["cls_b"] = ((n_tags,), 0.0)
@@ -452,11 +452,7 @@ def make_instance(
             raise ValueError(f"doc {doc.id} has no gold order; cannot build rop target")
         target = labels_mod.rop_grid(doc, InputOrder(doc.gold_order))[None, :, :]
     elif task == "bio":
-        tag_of = {t: i for i, t in enumerate(labels_mod.bio_tag_names(doc.entity_types))}
-        tags = labels_mod.bio_encode(doc, order)
-        target = np.zeros(doc.n_words, dtype=np.int64)
-        for pos, tag in enumerate(tags):
-            target[order.perm[pos]] = tag_of[tag]
+        target = labels_mod.bio_encode(doc, order)
     else:
         raise ValueError(f"unknown task {task!r}")
     return TaskInstance(features=feats, order=order, target=target)
@@ -701,7 +697,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         "seed": params.config.seed,
         "arrays": [{"name": n, "shape": list(params.arrays[n].shape)} for n in names],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = dumps_canonical(header).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(blob)))

@@ -7,7 +7,7 @@ deterministic, including which documents get shuffled input orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -90,16 +90,6 @@ def train(
     ]
     base = [make_instance(d, base_orders[i], task, config, feats[i]) for i, d in enumerate(docs)]
 
-    def instance(i: int, order: InputOrder):
-        if order is base_orders[i]:
-            return base[i]
-        if task != "bio":
-            # Word-space grid targets do not depend on the input order, so a
-            # shuffled document reuses its cached target; only BIO tags,
-            # which follow the input order, are rebuilt.
-            return replace(base[i], order=order)
-        return make_instance(docs[i], order, task, config, feats[i])
-
     batch_rng, shuf_rng, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
     )
@@ -110,17 +100,16 @@ def train(
     spare = params.copy()
     while step < hyper.steps:
         epoch_docs = batch_rng.permutation(len(docs))
-        orders: dict[int, InputOrder] = {}
+        epoch = list(base)
         for i in range(len(docs)):
             if shuf_rng.random() < hyper.shuffle_proportion:
-                orders[i] = shuffle_order(docs[i], int(shuf_rng.integers(2**31)))
-            else:
-                orders[i] = base_orders[i]
+                order = shuffle_order(docs[i], int(shuf_rng.integers(2**31)))
+                epoch[i] = make_instance(docs[i], order, task, config, feats[i])
         for lo in range(0, len(epoch_docs), hyper.batch_size):
             if step >= hyper.steps:
                 break
             batch = epoch_docs[lo : lo + hyper.batch_size]
-            instances = [instance(i, orders[i]) for i in batch]
+            instances = [epoch[i] for i in batch]
             try:
                 loss, grads = task_loss_and_grad(
                     params, instances, train_mode=True, rng=drop_rng

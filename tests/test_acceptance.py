@@ -7,7 +7,6 @@ and dominates the suite's runtime.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

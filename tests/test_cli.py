@@ -201,6 +201,52 @@ class TestCorruptInputs:
             assert err["error"].endswith(f"holds prediction id 'x', not {ids[1]!r}")
         assert not (tmp_path / "report").exists()
 
+    # Task, then the scored field's value and the problem named, given the
+    # document's word count n and gold entity count e (the corpus has 2 types).
+    BAD_VALUES = {
+        "rop_repeated_token": ("rop", lambda n, e: (
+            [0, 1, 1], "predicted_order token 1 repeats")),
+        "rop_token_past_the_end": ("rop", lambda n, e: (
+            [0, n], f"predicted_order token {n} is outside [0, {n})")),
+        "rop_negative_token": ("rop", lambda n, e: (
+            [-1], f"predicted_order token -1 is outside [0, {n})")),
+        "el_link_past_the_end": ("el", lambda n, e: (
+            [[e, 0]], f"link 0 entity {e} is outside [0, {e})")),
+        "el_negative_link": ("el", lambda n, e: (
+            [[0, -1]], f"link 0 entity -1 is outside [0, {e})")),
+        "ner_empty_entity": ("ner", lambda n, e: (
+            [{"type": 0, "word_indices": [0]}, {"type": 0, "word_indices": []}],
+            "entity 1 is empty")),
+        "ner_repeated_word": ("ner", lambda n, e: (
+            [{"type": 0, "word_indices": [0, 1, 0]}], "entity 0 word 0 repeats")),
+        "ner_word_past_the_end": ("ner", lambda n, e: (
+            [{"type": 1, "word_indices": [n]}], f"entity 0 word {n} is outside [0, {n})")),
+        "bio_negative_word": ("bio", lambda n, e: (
+            [{"type": 0, "word_indices": [-1]}], f"entity 0 word -1 is outside [0, {n})")),
+        "bio_unknown_type": ("bio", lambda n, e: (
+            [{"type": 2, "word_indices": [0]}], "entity 0 type 2 is outside [0, 2)")),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(BAD_VALUES))
+    def test_out_of_range_prediction_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
+                                                           damage):
+        task, make = self.BAD_VALUES[damage]
+        field = cli_module._EVAL_FIELDS[task]
+        docs = load_corpus(str(corpus_dir)).split("test")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for doc in docs:
+            (preds / f"{doc.id}.json").write_text(dumps_canonical({"id": doc.id, field: []}))
+        value, problem = make(docs[1].n_words, len(docs[1].entities))
+        bad = preds / f"{docs[1].id}.json"
+        bad.write_text(dumps_canonical({"id": docs[1].id, field: value}))
+        assert run(["eval", "--task", task, "--predictions", preds, "--corpus", corpus_dir,
+                    "--out", tmp_path / "report"]) == 1
+        err = last_error(capsys)
+        assert err["kind"] == "validation"
+        assert err["error"] == f"bad prediction {bad} for document {docs[1].id}: {problem}"
+        assert not (tmp_path / "report").exists()
+
 
 class TestPipeline:
     def test_train_decode_eval_stats(self, tmp_path, corpus_dir, capsys):
@@ -297,9 +343,9 @@ class TestPipeline:
         assert not (tmp_path / "p").exists()
 
     def test_eval_scores_each_document_on_its_own(self, tmp_path, corpus_dir):
-        # Each test document is given the gold entities of the next one.
-        # Entity and word keys hold word ids only, so scored as one pooled
-        # list these would match perfectly.
+        # Each test document is given the gold entities of the next one that
+        # lie within its words. Entity and word keys hold word ids only, so
+        # scored as one pooled list every one of these would match.
         docs = load_corpus(str(corpus_dir)).split("test")
         preds = tmp_path / "preds"
         preds.mkdir()
@@ -307,7 +353,7 @@ class TestPipeline:
             other = docs[(i + 1) % len(docs)]
             rec = {"id": doc.id, "entities": [
                 {"type": e.type_id, "word_indices": list(e.word_indices), "confidence": 0.0}
-                for e in other.entities
+                for e in other.entities if max(e.word_indices) < doc.n_words
             ]}
             (preds / f"{doc.id}.json").write_text(dumps_canonical(rec))
         report_dir = tmp_path / "report"
@@ -322,7 +368,8 @@ class TestPipeline:
             return {w for e in doc.entities for w in e.word_indices}
 
         correct = sum(len(keys(docs[(i + 1) % len(docs)]) & keys(d)) for i, d in enumerate(docs))
-        assert report["entity"]["correct"] == correct < report["entity"]["gold"]
+        assert report["entity"]["correct"] == correct < report["entity"]["predicted"]
+        assert report["entity"]["correct"] < report["entity"]["gold"]
         assert report["word"]["gold"] == sum(len(words(d)) for d in docs)
 
     @pytest.mark.parametrize("task, field", [("ner", "entities"), ("bio", "entities"),

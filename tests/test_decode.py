@@ -15,7 +15,6 @@ from tokenpath.decode import (
     rop_decode,
 )
 from tokenpath.labels import el_grid, ner_grids, rop_grid
-from tokenpath.metrics import ard, page_bleu
 from tokenpath.scorer import EncoderConfig, init_params, score_document
 
 

@@ -11,7 +11,6 @@ from tokenpath.decode import decode_document
 from tokenpath.scorer import (
     MAX_SEQUENCE,
     EncoderConfig,
-    ModelParams,
     encode,
     featurize,
     global_pointer_scores,
@@ -447,6 +446,18 @@ class TestCheckpoint:
         assert loaded.entity_types == params.entity_types
         for name, arr in params.arrays.items():
             assert np.array_equal(loaded.arrays[name], arr)
+
+    def test_non_ascii_type_name_round_trip(self, tmp_path):
+        # The header is canonical JSON, as every other file: UTF-8, unescaped.
+        params = init_params(small_config(), "bio", ("año", "名前"))
+        p1 = tmp_path / "a.ckpt"
+        p2 = tmp_path / "b.ckpt"
+        save_checkpoint(params, str(p1))
+        assert '"entity_types":["año","名前"]'.encode("utf-8") in p1.read_bytes()
+        loaded = load_checkpoint(str(p1))
+        assert loaded.entity_types == ("año", "名前")
+        save_checkpoint(loaded, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("task", ["ner", "rop", "bio"])
     def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch, task):
