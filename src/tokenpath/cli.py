@@ -167,7 +167,10 @@ def cmd_train(args) -> int:
         write_canonical(os.path.join(tmp, "train_log.json"), asdict(log))
     last = log.losses[-1] if log.losses else float("nan")
     status = "aborted" if log.aborted else "done"
-    print(f"{status}: {len(log.losses)} steps, final loss {last:.6f} -> {args.out}")
+    steps = len(log.losses)
+    print(f"{status}: {steps} steps, final loss {last:.6f}, "
+          f"{log.clipped / max(1, steps):.1%} of steps clipped, "
+          f"largest grad norm {max(log.grad_norms, default=float('nan')):.4g} -> {args.out}")
     return 0
 
 

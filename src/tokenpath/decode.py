@@ -240,24 +240,35 @@ class Prediction:
 
     @staticmethod
     def from_record(rec: Mapping) -> "Prediction":
+        """The prediction a record holds; ``ValueError`` naming the field
+        if a type, word index, link end or order token is not an integer
+        (a float, bool or string is refused, not truncated)."""
         entities = None
         if "entities" in rec:
             entities = tuple(
                 DecodedEntity(
-                    int(e["type"]), tuple(int(i) for i in e["word_indices"]),
+                    _integer(e["type"], "type"),
+                    tuple(_integer(i, "word_indices") for i in e["word_indices"]),
                     float(e.get("confidence", 0.0)),
                 )
                 for e in rec["entities"]
             )
         links = (
-            tuple((int(a), int(b)) for a, b in rec["links"]) if "links" in rec else None
+            tuple((_integer(a, "links"), _integer(b, "links")) for a, b in rec["links"])
+            if "links" in rec else None
         )
         order = (
-            tuple(int(i) for i in rec["predicted_order"])
+            tuple(_integer(i, "predicted_order") for i in rec["predicted_order"])
             if "predicted_order" in rec
             else None
         )
         return Prediction(str(rec["id"]), entities, links, order)
+
+
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} value {value!r} is not an integer")
+    return int(value)
 
 
 def decode_document(

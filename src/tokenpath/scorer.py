@@ -307,9 +307,10 @@ def _queries_keys(rows: np.ndarray, params: ModelParams) -> np.ndarray:
     return qk
 
 
-def _pair_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """score[t, i, j] = q[t, i] . k[t, j] / sqrt(d) for one document's rows."""
-    return np.matmul(q, k.transpose(0, 2, 1)) / np.sqrt(q.shape[-1])
+def _pair_products(q: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
+    """q[t, i] . k[t, j] for one document's rows, into ``out`` if given; a
+    pair score is this product over sqrt(d)."""
+    return np.matmul(q, k.transpose(0, 2, 1), out=out)
 
 
 def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -317,7 +318,9 @@ def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
     if h.size == 0:
         raise ValueError("empty hidden states")
     qk = _queries_keys(h, params)
-    return _pair_scores(qk[: params.n_relations], qk[params.n_relations :])
+    scores = _pair_products(qk[: params.n_relations], qk[params.n_relations :])
+    scores /= np.sqrt(h.shape[-1])
+    return scores
 
 
 def _head_input(h: np.ndarray, offsets: np.ndarray, params: ModelParams):
@@ -365,14 +368,6 @@ def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _log1p_sumexp(v: np.ndarray) -> float:
-    """log(1 + sum(exp(v))), stable, 0.0 for an empty v."""
-    if v.size == 0:
-        return 0.0
-    m = max(float(v.max()), 0.0)
-    return m + np.log(np.exp(-m) + np.exp(v - m).sum())
-
-
 def grid_loss(scores: np.ndarray, grid_labels: np.ndarray) -> float:
     """Class-imbalance multilabel loss, summed over relation types.
 
@@ -380,27 +375,62 @@ def grid_loss(scores: np.ndarray, grid_labels: np.ndarray) -> float:
     once positives score >> 0 and negatives << 0; robust to grids with at
     most n positive cells out of n^2.
     """
-    loss, _ = _grid_loss_grad(scores, grid_labels, want_grad=False)
-    return loss
-
-
-def _grid_loss_grad(scores, grid_labels, want_grad=True):
     if scores.shape != grid_labels.shape:
         raise ValueError(f"scores {scores.shape} vs labels {grid_labels.shape}")
-    total = 0.0
-    ds = np.zeros_like(scores) if want_grad else None
-    for t in range(scores.shape[0]):
-        pos = grid_labels[t].astype(bool)
-        neg = ~pos
-        s_neg = scores[t][neg]
-        neg_s_pos = -scores[t][pos]
-        lse_n = _log1p_sumexp(s_neg)
-        lse_p = _log1p_sumexp(neg_s_pos)
-        total += lse_n + lse_p
-        if want_grad:
-            ds[t][neg] = np.exp(s_neg - lse_n)
-            ds[t][pos] = -np.exp(neg_s_pos - lse_p)
-    return total, ds
+    n_types = len(scores)
+    cells = np.full(n_types, scores.size // max(1, n_types))
+    terms, _ = _flat_grid_loss(scores.ravel(), grid_labels.astype(bool).ravel(), cells,
+                               want_grad=False)
+    return float(_sum_runs(terms, 1)[0])
+
+
+def _flat_grid_loss(s, pos, cells, want_grad=True):
+    """Loss of each of several grids laid end to end, and its gradient.
+
+    ``s`` holds consecutive grids of ``cells[g]`` raveled scores each and
+    ``pos`` their targets. Returns grid g's log(1 + sum_neg e^s) +
+    log(1 + sum_pos e^-s) and the gradient w.r.t. ``s`` (None unless
+    ``want_grad``). The maxima, exponentials and logarithms run once over
+    every grid; each sum of exponentials is one ``sum`` per grid and sign,
+    as for a grid alone (``np.add.reduceat`` sums in another order), so
+    every grid gets the bits it gets on its own. A sign with no cells
+    contributes 0.0.
+    """
+    neg = ~pos
+    # Segment g holds grid g's negative scores, segment G + g its negated
+    # positive ones, each in row-major order.
+    v = np.concatenate((s[neg], -s[pos]))
+    n_grids = len(cells)
+    n_pos = np.diff(np.searchsorted(np.flatnonzero(pos), np.concatenate(([0], np.cumsum(cells)))))
+    lengths = np.concatenate((cells - n_pos, n_pos))
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    # log(1 + sum e^v) = top + log(e^-top + sum e^(v - top)), top = max(0, max v)
+    top = np.zeros(2 * n_grids)
+    full = np.flatnonzero(lengths)
+    if len(full):
+        top[full] = np.maximum.reduceat(v, bounds[full])
+    np.maximum(top, 0.0, out=top)
+    e = np.exp(v - np.repeat(top, lengths))
+    b = bounds.tolist()
+    sums = np.array([np.add.reduce(e[lo:hi]) for lo, hi in zip(b, b[1:])])
+    lse = top + np.log(np.exp(-top) + sums)
+    terms = lse[:n_grids] + lse[n_grids:]
+    if not want_grad:
+        return terms, None
+    g = np.exp(v - np.repeat(lse, lengths))
+    ds = np.empty_like(s)
+    ds[neg] = g[: b[n_grids]]
+    ds[pos] = -g[b[n_grids] :]
+    return terms, ds
+
+
+def _sum_runs(x, rows):
+    """Sums of ``x`` split into ``rows`` consecutive runs of equal length,
+    each added left to right from 0.0, as a Python loop would."""
+    total = np.zeros(rows)
+    for col in x.reshape(rows, -1).T:
+        total += col
+    return total
 
 
 def _softmax_ce_grad(logits: np.ndarray, targets: np.ndarray):
@@ -547,10 +577,11 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
     head reads K dropout-masked copies of its input.
 
     The encoder and the Q/K projections run once on the stacked rows of the
-    group, with one block per document and dropout copy. Scores, loss and
-    backward run per document, and each weight gradient is accumulated
-    document by document, so every sum keeps the order of a per-document
-    loop.
+    group, with one block per document and dropout copy, and the grid loss
+    once on the score grids of every block laid end to end. Pair-score
+    products and the backward pass run per block, and each weight gradient
+    is accumulated document by document, so every sum keeps the order of a
+    per-document loop.
     """
     cfg = params.config
     a = params.arrays
@@ -573,6 +604,24 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
         mscale = masks / keep
     if grid:
         qk_all = _queries_keys(hc_all, params)
+        # Rows of each (document, copy) block in stacking order, and where
+        # each block starts in the stacked rows and in the flat score buffer.
+        ms = np.repeat(np.diff(offsets), n_copies)
+        row_at = np.concatenate(([0], np.cumsum(ms))).tolist()
+        at = np.concatenate(([0], np.cumsum(n_rel * ms * ms))).tolist()
+        s = np.empty(at[-1])
+        for b, m in enumerate(ms.tolist()):
+            lo = row_at[b]
+            _pair_products(qk_all[:n_rel, lo : lo + m], qk_all[n_rel:, lo : lo + m],
+                           out=s[at[b] : at[b + 1]].reshape(n_rel, m, m))
+        s /= np.sqrt(d)
+        pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
+        terms, ds_all = _flat_grid_loss(s, pos, np.repeat(ms * ms, n_rel), grads is not None)
+        # Per block, the sum over types; per document, the mean over copies.
+        grid_losses = _sum_runs(_sum_runs(terms, len(ms)) / n_copies, len(instances)).tolist()
+        if grads is None:
+            return grid_losses
+        ds_all /= np.sqrt(d) * n_copies
     if grads is not None:
         # Gradients reaching the embedding rows, and the 1D table rows (the
         # same array unless the 1D rows also feed h as a residual).
@@ -583,22 +632,22 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
     for i, inst in enumerate(instances):
         m = offsets[i + 1] - offsets[i]
         perm = None if grid else np.asarray(inst.order.perm)
-        loss = 0.0
+        loss = grid_losses[i] if grid else 0.0
         dh_head = np.zeros((m, d)) if grads is not None else None
         for c in range(n_copies):
             lo = n_copies * offsets[i] + c * m
             hc = hc_all[lo : lo + m]
             if grid:
                 q, k = qk_all[:n_rel, lo : lo + m], qk_all[n_rel:, lo : lo + m]
-                li, ds = _grid_loss_grad(_pair_scores(q, k), inst.target, grads is not None)
+                b = i * n_copies + c
+                ds = ds_all[at[b] : at[b + 1]].reshape(n_rel, m, m)
             else:
                 logits, prev, nxt = _bio_logits(hc, perm, a)
                 li, dlogits = _softmax_ce_grad(logits, inst.target)
-            loss += li / n_copies
+                loss += li / n_copies
             if grads is None:
                 continue
             if grid:
-                ds /= np.sqrt(d) * n_copies
                 dqk = np.concatenate([np.matmul(ds, k), np.matmul(ds.transpose(0, 2, 1), q)])
                 dqk_cols = dqk.transpose(1, 0, 2).reshape(m, -1)
                 head_grads[:d] += hc.T @ dqk_cols

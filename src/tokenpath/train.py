@@ -55,6 +55,10 @@ class TrainLog:
     lrs: list[float] = field(default_factory=list)
     aborted: bool = False
     message: str = ""
+    # The global gradient norm of each step before clipping, and the number
+    # of steps whose gradient ``max_grad_norm`` scaled down.
+    grad_norms: list[float] = field(default_factory=list)
+    clipped: int = 0
 
 
 def train(
@@ -118,12 +122,12 @@ def train(
                 log.aborted = True
                 log.message = f"aborted at step {step}: {exc}"
                 return spare, log
-            if hyper.max_grad_norm is not None:
-                norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                if norm > hyper.max_grad_norm:
-                    scale = hyper.max_grad_norm / norm
-                    for g in grads.values():
-                        g *= scale
+            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if hyper.max_grad_norm is not None and norm > hyper.max_grad_norm:
+                log.clipped += 1
+                scale = hyper.max_grad_norm / norm
+                for g in grads.values():
+                    g *= scale
             lr = hyper.lr * min(1.0, (step + 1) / warmup_steps)
             for name, arr in params.arrays.items():
                 # out = arr - lr * (grad + weight_decay * arr), in place
@@ -135,5 +139,6 @@ def train(
             params, spare = spare, params
             log.losses.append(loss)
             log.lrs.append(lr)
+            log.grad_norms.append(float(norm))
             step += 1
     return params, log

@@ -201,6 +201,35 @@ class TestCorruptInputs:
             assert err["error"].endswith(f"holds prediction id 'x', not {ids[1]!r}")
         assert not (tmp_path / "report").exists()
 
+    # Task, then the scored field's value with one value that is not an
+    # integer, and how the error names it. Each used to be truncated by int().
+    NON_INTEGERS = {
+        "ner_float_type": ("ner", [{"type": 1.7, "word_indices": [0]}], "type value 1.7"),
+        "ner_bool_word": ("ner", [{"type": 0, "word_indices": [0, True]}],
+                          "word_indices value True"),
+        "el_float_link": ("el", [[0, 0.0]], "links value 0.0"),
+        "rop_string_token": ("rop", ["0"], "predicted_order value '0'"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(NON_INTEGERS))
+    def test_non_integer_prediction_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
+                                                          damage):
+        task, value, named = self.NON_INTEGERS[damage]
+        field = cli_module._EVAL_FIELDS[task]
+        docs = load_corpus(str(corpus_dir)).split("test")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for doc in docs:
+            (preds / f"{doc.id}.json").write_text(dumps_canonical({"id": doc.id, field: []}))
+        bad = preds / f"{docs[1].id}.json"
+        bad.write_text(dumps_canonical({"id": docs[1].id, field: value}))
+        assert run(["eval", "--task", task, "--predictions", preds, "--corpus", corpus_dir,
+                    "--out", tmp_path / "report"]) == 1
+        err = last_error(capsys)
+        assert err["kind"] == "validation"
+        assert err["error"] == f"cannot load prediction {bad}: {named} is not an integer"
+        assert not (tmp_path / "report").exists()
+
     # Task, then the scored field's value and the problem named, given the
     # document's word count n and gold entity count e (the corpus has 2 types).
     BAD_VALUES = {

@@ -188,7 +188,105 @@ class TestGlobalPointerScores:
             assert np.array_equal(s_pos, expected)
 
 
+def _reference_log1p_sumexp(v: np.ndarray) -> float:
+    """log(1 + sum(exp(v))), stable, 0.0 for an empty v."""
+    if v.size == 0:
+        return 0.0
+    m = max(float(v.max()), 0.0)
+    return m + np.log(np.exp(-m) + np.exp(v - m).sum())
+
+
+def _reference_grid_loss_grad(scores, grid_labels, want_grad=True):
+    """The grid loss and its gradient, one relation type at a time."""
+    if scores.shape != grid_labels.shape:
+        raise ValueError(f"scores {scores.shape} vs labels {grid_labels.shape}")
+    total = 0.0
+    ds = np.zeros_like(scores) if want_grad else None
+    for t in range(scores.shape[0]):
+        pos = grid_labels[t].astype(bool)
+        neg = ~pos
+        s_neg = scores[t][neg]
+        neg_s_pos = -scores[t][pos]
+        lse_n = _reference_log1p_sumexp(s_neg)
+        lse_p = _reference_log1p_sumexp(neg_s_pos)
+        total += lse_n + lse_p
+        if want_grad:
+            ds[t][neg] = np.exp(s_neg - lse_n)
+            ds[t][pos] = -np.exp(neg_s_pos - lse_p)
+    return total, ds
+
+
+def _random_grids(rng, n_types, sizes):
+    """Scores and targets of one (n_types, n, n) grid per size: label
+    density 0, 0.05, 0.5 or 1, score scale up to 800 (past exp's overflow),
+    and now and then an infinite cell."""
+    out = []
+    for n in sizes:
+        scores = rng.choice([1.0, 30.0, 800.0]) * rng.normal(size=(n_types, n, n))
+        if rng.random() < 0.1:
+            scores.flat[rng.integers(scores.size)] = rng.choice([np.inf, -np.inf])
+        labels = rng.random((n_types, n, n)) < rng.choice([0.0, 0.05, 0.5, 1.0])
+        out.append((scores, labels))
+    return out
+
+
 class TestGridLoss:
+    def test_flat_pass_equals_per_type_reference_bitwise(self):
+        # Grids of several documents in one call, as a training group runs
+        # them: each document's loss and gradient carry the reference's bits.
+        rng = np.random.default_rng(17)
+        checked = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while checked < 4000:
+                n_types = int(rng.integers(1, 4))
+                grids = _random_grids(rng, n_types, rng.integers(1, 31, size=rng.integers(1, 6)))
+                s = np.concatenate([sc.ravel() for sc, _ in grids])
+                pos = np.concatenate([lab.ravel() for _, lab in grids])
+                cells = np.repeat([sc[0].size for sc, _ in grids], n_types)
+                terms, ds = scorer_module._flat_grid_loss(s, pos, cells)
+                losses = scorer_module._sum_runs(terms, len(grids))
+                at = 0
+                for (scores, labels), loss in zip(grids, losses):
+                    want_loss, want_ds = _reference_grid_loss_grad(scores, labels)
+                    assert np.array_equal(loss, want_loss, equal_nan=True)
+                    got_ds = ds[at : at + scores.size].reshape(scores.shape)
+                    assert np.array_equal(got_ds, want_ds, equal_nan=True)
+                    assert grid_loss(scores, labels) == want_loss or np.isnan(want_loss)
+                    at += scores.size
+                    checked += 1
+
+    def test_group_equals_per_document_reference_loop(self, monkeypatch):
+        # Five documents in one group under dropout with K = 3 copies; the
+        # first has relation types with no positive cell. The reference runs
+        # each document as a group of its own and its grids one type at a
+        # time through the reference loss; masks and every gradient sum
+        # follow the same order, so all bits must match.
+        cfg = small_config(dropout_rate=0.2, multi_dropout_k=3)
+        types, insts = _five_instances("ner", cfg)
+        assert not insts[0].target[0].any() and insts[0].target.any()
+        assert sum(len(inst.features.ids) for inst in insts) <= scorer_module._GROUP_ROWS
+        params = init_params(cfg, "ner", types)
+
+        def run():
+            return task_loss_and_grad(params, insts, train_mode=True,
+                                      rng=np.random.default_rng(3))
+
+        def reference_flat_loss(s, pos, cells, want_grad=True):
+            terms, ds, at = [], [], 0
+            for n in cells:
+                t, g = _reference_grid_loss_grad(s[None, at : at + n], pos[None, at : at + n])
+                terms.append(t)
+                ds.append(g[0])
+                at += n
+            return np.array(terms), np.concatenate(ds)
+
+        got = run()
+        monkeypatch.setattr(scorer_module, "_GROUP_ROWS", 1)
+        monkeypatch.setattr(scorer_module, "_flat_grid_loss", reference_flat_loss)
+        want = run()
+        assert got[0] == want[0]
+        assert np.array_equal(grads_to_vector(params, got[1]), grads_to_vector(params, want[1]))
+
     def test_closed_form_at_zero_scores(self):
         scores = np.zeros((1, 5, 5))
         labels = np.zeros((1, 5, 5), dtype=bool)

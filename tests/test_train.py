@@ -5,7 +5,14 @@ import pytest
 
 from tokenpath.core import ocr_order, replace_order
 from tokenpath.datagen import GenConfig, gen_corpus, shuffle_order
-from tokenpath.scorer import EncoderConfig, init_params, make_instance, params_to_vector, task_loss
+from tokenpath.scorer import (
+    EncoderConfig,
+    init_params,
+    make_instance,
+    params_to_vector,
+    task_loss,
+    task_loss_and_grad,
+)
 from tokenpath.train import Hyper, TrainLog, train
 
 
@@ -130,6 +137,46 @@ class TestTrain:
                             Hyper(lr=0.3, steps=300, batch_size=8, warmup_fraction=0.1))
         assert not log.aborted
         assert log.losses[-1] < 0.5 * log.losses[0]
+
+    def test_log_holds_pre_clip_norms_and_clip_count(self):
+        docs = toy_docs(6)
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, dropout_rate=0.0,
+                            multi_dropout_k=1, seed=4)
+        clip = 1.5
+        hyper = Hyper(lr=0.2, steps=12, batch_size=4, warmup_fraction=0.25,
+                      weight_decay=1e-3, max_grad_norm=clip)
+        params, log = train(docs, "ner", cfg, hyper)
+        # The same run by hand: each step's global norm before clipping,
+        # then the clip and the update.
+        hand = init_params(cfg, "ner", docs[0].entity_types)
+        insts = [make_instance(d, ocr_order(d), "ner", cfg) for d in docs]
+        batch_rng, _, drop_rng = (np.random.default_rng(s)
+                                  for s in np.random.SeedSequence(cfg.seed).spawn(3))
+        norms, clipped = [], 0
+        while len(norms) < hyper.steps:
+            perm = batch_rng.permutation(len(docs))
+            for lo in range(0, len(docs), hyper.batch_size):
+                if len(norms) == hyper.steps:
+                    break
+                batch = [insts[i] for i in perm[lo : lo + hyper.batch_size]]
+                _, grads = task_loss_and_grad(hand, batch, train_mode=True, rng=drop_rng)
+                norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                norms.append(float(norm))
+                if norm > clip:
+                    clipped += 1
+                    grads = {k: g * (clip / norm) for k, g in grads.items()}
+                lr = hyper.lr * min(1.0, len(norms) / 3)
+                for k, arr in hand.arrays.items():
+                    hand.arrays[k] = arr - lr * (grads[k] + hyper.weight_decay * arr)
+        assert log.grad_norms == norms
+        assert log.clipped == clipped
+        assert 0 < clipped < hyper.steps
+        assert np.array_equal(params_to_vector(params), params_to_vector(hand))
+        # Without a cap every norm is still logged and no step is clipped.
+        _, free = train(docs, "ner", cfg, Hyper(**{**asdict(hyper), "max_grad_norm": None}))
+        assert free.clipped == 0
+        assert len(free.grad_norms) == hyper.steps
+        assert free.grad_norms[0] == norms[0]
 
     def test_log_record(self):
         log = TrainLog(losses=[1.0], lrs=[0.1], aborted=False, message="")
