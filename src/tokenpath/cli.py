@@ -183,13 +183,16 @@ def _eval_order(doc: Document, index: int, shuffle_seed: int | None) -> InputOrd
     return ocr_order(doc)
 
 
-def _load_checkpoint_checked(path: str):
+def _load_checkpoint_checked(path: str, task: str):
     if not os.path.isfile(path):
         raise CliError(f"checkpoint not found: {path}")
     try:
-        return load_checkpoint(path)
+        params = load_checkpoint(path)
     except (OSError, ValueError, KeyError, struct.error) as exc:
         raise CliError(f"cannot load checkpoint {path}: {exc}") from exc
+    if params.task != task:
+        raise CliError(f"checkpoint was trained for task {params.task!r}, not {task!r}")
+    return params
 
 
 @contextlib.contextmanager
@@ -204,9 +207,7 @@ def _naming(doc: Document):
 def cmd_decode(args) -> int:
     raw = load_run_config(args.config)
     dcfg: DecodeConfig = build_section(raw, "decode")
-    params = _load_checkpoint_checked(args.checkpoint)
-    if params.task != args.task:
-        raise CliError(f"checkpoint was trained for task {params.task!r}, not {args.task!r}")
+    params = _load_checkpoint_checked(args.checkpoint, args.task)
     corpus = _load_corpus_checked(args.corpus)
     docs = _split_docs(corpus, args.split)
     if params.entity_types != corpus.entity_types:
@@ -231,9 +232,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_reorder(args) -> int:
-    params = _load_checkpoint_checked(args.checkpoint)
-    if params.task != "rop":
-        raise CliError(f"reorder needs a rop checkpoint, got task {params.task!r}")
+    params = _load_checkpoint_checked(args.checkpoint, "rop")
     corpus = _load_corpus_checked(args.corpus)
     dcfg = build_section(load_run_config(args.config), "decode")
 
@@ -379,64 +378,53 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each flag's ``add_argument`` keywords, written once for every command.
+_FLAGS = {
+    "--task": dict(required=True, choices=TASKS),
+    "--predictions": dict(required=True),
+    "--corpus": dict(required=True),
+    "--checkpoint": dict(required=True),
+    "--split": dict(default="test"),
+    "--shuffle-seed": dict(type=int, default=None,
+                           help="evaluate under segment-shuffled input orders"),
+    "--config": dict(default=None, help="JSON run config file"),
+    "--seed": dict(type=int, default=None, help="override config seeds"),
+    "--out": dict(required=True, help="output directory (must not exist)"),
+    "--workers": dict(type=int, default=1),
+}
+
+# The least value of an integer flag; a smaller one is a validation error.
+_MINIMUMS = {"--shuffle-seed": 0, "--workers": 1}
+
+# Command: its function, help, flags in help order, and the help of its
+# optional ``--out`` (None where it takes the required ``--out`` of _FLAGS).
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a synthetic corpus", "--config --seed --out --workers", None),
+    "train": (cmd_train, "train a model", "--task --corpus --config --seed --out", None),
+    "decode": (cmd_decode, "decode predictions with a checkpoint",
+               "--task --corpus --checkpoint --split --shuffle-seed --config --out --workers",
+               None),
+    "reorder": (cmd_reorder, "write a corpus with predicted input orders",
+                "--corpus --checkpoint --config --out --workers", None),
+    "eval": (cmd_eval, "score predictions against gold", "--task --predictions --corpus --split",
+             "optional report directory"),
+    "stats": (cmd_stats, "print corpus statistics", "--corpus", "optional stats directory"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenpath",
         description="Grid-label information extraction on visually-rich documents",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seed=False, workers=False):
-        p.add_argument("--config", default=None, help="JSON run config file")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        p.add_argument("--out", required=True, help="output directory (must not exist)")
-        if workers:
-            p.add_argument("--workers", type=int, default=1)
-
-    p = sub.add_parser("gen", help="generate a synthetic corpus")
-    common(p, seed=True, workers=True)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("train", help="train a model")
-    p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--corpus", required=True)
-    common(p, seed=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("decode", help="decode predictions with a checkpoint")
-    p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument(
-        "--shuffle-seed",
-        type=int,
-        default=None,
-        help="evaluate under segment-shuffled input orders",
-    )
-    common(p, workers=True)
-    p.set_defaults(fn=cmd_decode)
-
-    p = sub.add_parser("reorder", help="write a corpus with predicted input orders")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--checkpoint", required=True)
-    common(p, workers=True)
-    p.set_defaults(fn=cmd_reorder)
-
-    p = sub.add_parser("eval", help="score predictions against gold")
-    p.add_argument("--task", required=True, choices=TASKS)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--out", default=None, help="optional report directory")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("stats", help="print corpus statistics")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", default=None, help="optional stats directory")
-    p.set_defaults(fn=cmd_stats)
-
+    for command, (fn, help_text, flags, out_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        if out_help:
+            p.add_argument("--out", default=None, help=out_help)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -444,6 +432,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, minimum in _MINIMUMS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < minimum:
+                raise CliError(f"{flag} value {value} is below {minimum}")
         return args.fn(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc), "kind": "validation"}), file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -141,6 +142,17 @@ class Document:
     @property
     def n_words(self) -> int:
         return len(self.words)
+
+
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    """``value`` as an int; ``ValueError`` naming ``field`` if it is not an
+    integer (a float, bool or string is refused, not truncated) or is below
+    ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} value {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{field} value {value} is below {minimum}")
+    return int(value)
 
 
 def is_permutation(seq: Sequence[int]) -> bool:

@@ -34,6 +34,7 @@ from .core import (
     InputOrder,
     Segment,
     Word,
+    _integer,
     map_ordered,
     validate_document,
 )
@@ -84,6 +85,7 @@ class GenConfig:
     def __post_init__(self):
         words = tuple(self.words_per_doc)  # a JSON config gives a list
         object.__setattr__(self, "words_per_doc", words)
+        _integer(self.seed, "seed", minimum=0)
         if self.doc_count < 1:
             raise ValueError("doc_count must be >= 1")
         if len(words) != 2 or not 1 <= words[0] <= words[1]:
@@ -212,8 +214,6 @@ def _plan_units(cfg: GenConfig, rng) -> list[tuple]:
     planned = 0
     while planned < target:
         room = hi - planned
-        if room <= 0:
-            break
         if units and rng.random() < 0.25:
             k = int(min(rng.integers(1, 3), room))
             units.append(("filler", k))
@@ -236,19 +236,22 @@ def _plan_units(cfg: GenConfig, rng) -> list[tuple]:
     return units
 
 
-class _PageWriter:
-    """Cursor-based placement of words into one column."""
+def _width(text: str) -> float:
+    return len(text) * CHAR_WIDTH
 
-    def __init__(self, x0: float, x1: float, y0: float, y_limit: float, rng):
-        self.x0, self.x1 = x0, x1
+
+class _PageWriter:
+    """Cursor-based placement of words into the columns of one page."""
+
+    def __init__(self, y_limit: float, rng):
         self.y_limit = y_limit
-        self.x, self.y = x0, y0
         self.rng = rng
         self.texts: list[str] = []
         self.boxes: list[BoundingBox] = []
 
-    def _width(self, text: str) -> float:
-        return len(text) * CHAR_WIDTH
+    def column(self, x0: float, x1: float) -> None:
+        self.x0, self.x1 = x0, x1
+        self.x, self.y = x0, MARGIN
 
     def newline(self, advance: float = ROW_HEIGHT) -> None:
         self.x = self.x0
@@ -256,28 +259,43 @@ class _PageWriter:
         if self.y + BOX_HEIGHT > self.y_limit:
             raise _Infeasible
 
+    def fresh_row(self) -> None:
+        if self.x > self.x0:
+            self.newline()
+
     def put_at(self, text: str, x: float, y: float) -> int:
-        if y + BOX_HEIGHT > self.y_limit or x + self._width(text) > self.x1 + CHAR_WIDTH:
+        if y + BOX_HEIGHT > self.y_limit or x + _width(text) > self.x1 + CHAR_WIDTH:
             raise _Infeasible
         jx = float(self.rng.integers(-1, 2))
         jy = float(self.rng.integers(-1, 2))
         self.texts.append(text)
         self.boxes.append(
-            BoundingBox(x + jx, y + jy, x + jx + self._width(text), y + jy + BOX_HEIGHT)
+            BoundingBox(x + jx, y + jy, x + jx + _width(text), y + jy + BOX_HEIGHT)
         )
         return len(self.texts) - 1
 
-    def put_flow(self, text: str) -> int:
-        w = self._width(text)
-        if self.x + w > self.x1:
-            self.newline()
-        idx = self.put_at(text, self.x, self.y)
-        self.x += w + WORD_GAP
-        return idx
+    def put_row(self, texts: Sequence[str], x: float, y: float) -> tuple[list[int], float]:
+        """Place ``texts`` left to right from ``x``; their indices and the
+        next word's x."""
+        idxs = []
+        for text in texts:
+            idxs.append(self.put_at(text, x, y))
+            x += _width(text) + WORD_GAP
+        return idxs, x
 
-    def gap(self) -> None:
+    def put_flow(self, texts: Sequence[str]) -> list[int]:
+        """Place a unit's words in reading flow, wrapping rows, then leave
+        the gap between units."""
+        idxs = []
+        for text in texts:
+            w = _width(text)
+            if self.x + w > self.x1:
+                self.newline()
+            idxs.append(self.put_at(text, self.x, self.y))
+            self.x += w + WORD_GAP
         if self.x > self.x0:
             self.x += UNIT_GAP - WORD_GAP
+        return idxs
 
     def fits_on_row(self, widths: Sequence[float], fresh: bool) -> bool:
         total = sum(widths) + WORD_GAP * (len(widths) - 1)
@@ -290,75 +308,51 @@ def _lay_units(writer: _PageWriter, units, lex, rng) -> list[tuple[int, list[int
     entities: list[tuple[int, list[int]]] = []
     for unit in units:
         if unit[0] == "filler":
-            _, k = unit
-            for text in rng.choice(FILLER_WORDS, size=k):
-                writer.put_flow(str(text))
-            writer.gap()
+            writer.put_flow([str(text) for text in rng.choice(FILLER_WORDS, size=unit[1])])
             continue
 
         _, t, k, pattern = unit
         texts = lex[t].sample_entity(k, rng)
-        widths = [len(s) * CHAR_WIDTH for s in texts]
+        widths = [_width(s) for s in texts]
 
+        idxs = None
         if pattern == "interleave":
             intruder = str(rng.choice(INTRUDER_WORDS))
-            row = widths + [len(intruder) * CHAR_WIDTH]
-            if writer.fits_on_row(row, fresh=True):
-                if writer.x > writer.x0:
-                    writer.newline()
+            if writer.fits_on_row(widths + [_width(intruder)], fresh=True):
+                writer.fresh_row()
                 # Entity words first (gold flow), the intruder afterwards,
                 # but geometrically the intruder sits right after word 0.
-                xs: list[float] = []
-                x = writer.x
-                intruder_x = 0.0
-                for j, w in enumerate(widths):
-                    xs.append(x)
-                    x += w + WORD_GAP
-                    if j == 0:
-                        intruder_x = x
-                        x += len(intruder) * CHAR_WIDTH + WORD_GAP
-                idxs = [writer.put_at(s, xs[j], writer.y) for j, s in enumerate(texts)]
+                idxs, intruder_x = writer.put_row(texts[:1], writer.x, writer.y)
+                rest, x = writer.put_row(texts[1:], intruder_x + (_width(intruder) + WORD_GAP),
+                                         writer.y)
                 writer.put_at(intruder, intruder_x, writer.y)
                 writer.x = x + UNIT_GAP - WORD_GAP
-                entities.append((t, idxs))
-                continue
-            pattern = "flow"
-
-        if pattern == "multirow":
+                idxs += rest
+        elif pattern == "multirow":
             k1 = (k + 1) // 2
             neighbor = str(rng.choice(FILLER_WORDS))
             row1 = sum(widths[:k1]) + WORD_GAP * (k1 - 1)
             row2 = sum(widths[k1:]) + WORD_GAP * (k - k1 - 1)
             cell_w = max(row1, row2)
-            need = cell_w + UNIT_GAP + len(neighbor) * CHAR_WIDTH
+            need = cell_w + UNIT_GAP + _width(neighbor)
             if writer.x0 + need <= writer.x1:
-                if writer.x > writer.x0:
-                    writer.newline()
+                writer.fresh_row()
                 base_x, base_y = writer.x0, writer.y
-                idxs = []
-                x = base_x
-                for j in range(k1):
-                    idxs.append(writer.put_at(texts[j], x, base_y))
-                    x += widths[j] + WORD_GAP
-                x = base_x
-                for j in range(k1, k):
-                    idxs.append(writer.put_at(texts[j], x, base_y + ROW_HEIGHT))
-                    x += widths[j] + WORD_GAP
+                idxs, _ = writer.put_row(texts[:k1], base_x, base_y)
+                rest, _ = writer.put_row(texts[k1:], base_x, base_y + ROW_HEIGHT)
                 writer.put_at(neighbor, base_x + cell_w + UNIT_GAP, base_y + ROW_HEIGHT / 2)
-                entities.append((t, idxs))
-                writer.x = writer.x0
+                idxs += rest
                 writer.y = base_y + ROW_HEIGHT  # newline() adds the second row
-                writer.newline(ROW_HEIGHT)
-                continue
-            pattern = "flow"
+                writer.newline()
 
-        # Plain flow: an entity prefers starting on a fresh row unless it
-        # fits in the remaining width, so that within-entity geometry stays
-        # tight; long entities may still wrap mid-entity.
-        if not writer.fits_on_row(widths, fresh=False) and writer.x > writer.x0:
-            writer.newline()
-        idxs = [writer.put_flow(s) for s in texts]
-        writer.gap()
+        if idxs is None:
+            # Plain flow, also where a pattern does not fit: an entity
+            # prefers starting on a fresh row unless it fits in the
+            # remaining width, so that within-entity geometry stays tight;
+            # long entities may still wrap mid-entity.
+            if not writer.fits_on_row(widths, fresh=False):
+                writer.fresh_row()
+            idxs = writer.put_flow(texts)
         entities.append((t, idxs))
     return entities
 
@@ -389,10 +383,8 @@ def _segment_rows(boxes: Sequence[BoundingBox]) -> list[list[int]]:
 def _try_gen(doc_idx: int, cfg: GenConfig, names: Sequence[str], rng) -> Document:
     lex = _lexicons(names)
     units = _plan_units(cfg, rng)
-    two_col = rng.random() < cfg.multi_column_prob
-
-    y_limit = cfg.page_height - MARGIN
-    if two_col:
+    writer = _PageWriter(cfg.page_height - MARGIN, rng)
+    if rng.random() < cfg.multi_column_prob:
         col_w = (cfg.page_width - 2 * MARGIN - COLUMN_GAP) / 2
         counts = [u[1] if u[0] == "filler" else u[2] for u in units]
         half = sum(counts) / 2
@@ -402,19 +394,16 @@ def _try_gen(doc_idx: int, cfg: GenConfig, names: Sequence[str], rng) -> Documen
             if acc >= half:
                 split_at = i + 1
                 break
-        w1 = _PageWriter(MARGIN, MARGIN + col_w, MARGIN, y_limit, rng)
-        ents = _lay_units(w1, units[:split_at], lex, rng)
         x2 = MARGIN + col_w + COLUMN_GAP
-        w2 = _PageWriter(x2, x2 + col_w, MARGIN, y_limit, rng)
-        offset = len(w1.texts)
-        ents2 = _lay_units(w2, units[split_at:], lex, rng)
-        texts = w1.texts + w2.texts
-        boxes = w1.boxes + w2.boxes
-        entities = ents + [(t, [i + offset for i in idxs]) for t, idxs in ents2]
+        columns = [(MARGIN, MARGIN + col_w, units[:split_at]),
+                   (x2, x2 + col_w, units[split_at:])]
     else:
-        w1 = _PageWriter(MARGIN, cfg.page_width - MARGIN, MARGIN, y_limit, rng)
-        entities = _lay_units(w1, units, lex, rng)
-        texts, boxes = w1.texts, w1.boxes
+        columns = [(MARGIN, cfg.page_width - MARGIN, units)]
+    entities = []
+    for x0, x1, column_units in columns:
+        writer.column(x0, x1)
+        entities += _lay_units(writer, column_units, lex, rng)
+    texts, boxes = writer.texts, writer.boxes
 
     n = len(texts)
     links = [

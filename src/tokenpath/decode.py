@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, Entity, InputOrder, ocr_order
+from .core import Document, Entity, InputOrder, _integer, ocr_order
 from .labels import bio_decode
 from .scorer import ModelParams, score_document
 
@@ -151,8 +151,6 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
         raise ValueError(f"expected a square grid, got {scores.shape}")
     _reject_nan(scores, "rop grid")
     n = m - 1
-    if n == 0:
-        return ()
     # Costs are negated log-sigmoids, so a path's cost is minus its score and
     # the best extensions are the cheapest. A step's candidates form an
     # (m, beams) block whose row j holds every beam's extension to node j,
@@ -263,12 +261,6 @@ class Prediction:
             else None
         )
         return Prediction(str(rec["id"]), entities, links, order)
-
-
-def _integer(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field} value {value!r} is not an integer")
-    return int(value)
 
 
 def decode_document(

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, InputOrder, dumps_canonical
+from .core import Document, InputOrder, _integer, dumps_canonical
 from . import labels as labels_mod
 
 MAX_SEQUENCE = 512
@@ -71,6 +71,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer(self.seed, "seed", minimum=0)
         if self.hidden_dim <= 0 or self.hidden_dim % 2:
             raise ValueError(f"hidden_dim must be a positive even number, got {self.hidden_dim}")
         if self.vocab_buckets < 2:
@@ -695,35 +696,6 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
         for name, idx in rows:
             np.add.at(grads[name], idx, d1_all)
     return losses
-
-
-# ---------------------------------------------------------------------------
-# Parameter vector utilities (finite-difference checks, optimizers)
-# ---------------------------------------------------------------------------
-
-
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    names = sorted(params.arrays)
-    return np.concatenate([params.arrays[n].ravel() for n in names])
-
-
-def vector_to_params(params: ModelParams, vec: np.ndarray) -> ModelParams:
-    names = sorted(params.arrays)
-    out = {}
-    i = 0
-    for n in names:
-        shape = params.arrays[n].shape
-        size = params.arrays[n].size
-        out[n] = vec[i : i + size].reshape(shape).copy()
-        i += size
-    if i != vec.size:
-        raise ValueError(f"vector has {vec.size} entries, params need {i}")
-    return ModelParams(params.config, params.task, params.entity_types, out)
-
-
-def grads_to_vector(params: ModelParams, grads: Mapping[str, np.ndarray]) -> np.ndarray:
-    names = sorted(params.arrays)
-    return np.concatenate([grads[n].ravel() for n in names])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ import pytest
 from tokenpath import cli as cli_module
 from tokenpath import decode as decode_module
 from tokenpath.cli import main
-from tokenpath.core import dumps_canonical, load_corpus
+from tokenpath.core import (
+    Corpus, dumps_canonical, load_corpus, ocr_order, replace_order, save_corpus,
+)
+from tokenpath.datagen import shuffle_order
+from tokenpath.decode import Prediction, decode_document
+from tokenpath.metrics import dataset_stats
 from tokenpath.scorer import EncoderConfig, init_params, save_checkpoint
 
 
@@ -90,6 +95,48 @@ class TestGen:
         assert os.listdir(tmp_path) == ["bad.json"]
 
 
+class TestBadNumbers:
+    # The command line after ``main``, with CORPUS, CKPT and OUT filled in,
+    # or the seed of a gen config; then how the error ends.
+    CASES = {
+        "gen_negative_seed": (["gen", "--seed", -1, "--out", "OUT"], "seed value -1 is below 0"),
+        "gen_config_float_seed": (1.5, "seed value 1.5 is not an integer"),
+        "gen_config_string_seed": ("x", "seed value 'x' is not an integer"),
+        "gen_config_bool_seed": (True, "seed value True is not an integer"),
+        "train_negative_seed": (["train", "--task", "ner", "--corpus", "CORPUS", "--seed", -1,
+                                 "--out", "OUT"], "seed value -1 is below 0"),
+        "decode_negative_shuffle_seed": (
+            ["decode", "--task", "ner", "--corpus", "CORPUS", "--checkpoint", "CKPT",
+             "--shuffle-seed", -3, "--out", "OUT"], "--shuffle-seed value -3 is below 0"),
+        "gen_zero_workers": (["gen", "--workers", 0, "--out", "OUT"],
+                             "--workers value 0 is below 1"),
+        "decode_negative_workers": (
+            ["decode", "--task", "ner", "--corpus", "CORPUS", "--checkpoint", "CKPT",
+             "--workers", -4, "--out", "OUT"], "--workers value -4 is below 1"),
+        "reorder_zero_workers": (
+            ["reorder", "--corpus", "CORPUS", "--checkpoint", "CKPT", "--workers", 0,
+             "--out", "OUT"], "--workers value 0 is below 1"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_number_is_a_validation_error(self, tmp_path, corpus_dir, capsys, case):
+        argv, named = self.CASES[case]
+        if not isinstance(argv, list):
+            cfg = write_config(tmp_path / "gen.json", {"gen": {**TINY_GEN["gen"], "seed": argv}})
+            argv = ["gen", "--config", cfg, "--out", "OUT"]
+        ckpt = tmp_path / "model.ckpt"
+        task = "rop" if argv[0] == "reorder" else "ner"
+        save_checkpoint(init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), task,
+                                    load_corpus(str(corpus_dir)).entity_types), str(ckpt))
+        before = sorted(os.listdir(tmp_path))
+        fill = {"CORPUS": corpus_dir, "CKPT": ckpt, "OUT": tmp_path / "out"}
+        assert run([fill.get(a, a) for a in argv]) == 1
+        err = last_error(capsys)
+        assert err["kind"] == "validation"
+        assert err["error"].endswith(named)
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 class TestCorruptInputs:
     # A manifest names each document once, by the id its file holds.
     MANIFEST_DAMAGE = {
@@ -139,6 +186,7 @@ class TestCorruptInputs:
         "missing_array": "missing ['q_w0'], extra [], wrong shape []",
         "extra_config_key": "unexpected keyword argument 'depth'",
         "unknown_task": "unknown task 'pos'",
+        "trailing_bytes": "trailing bytes after arrays",
     }
 
     @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
@@ -155,6 +203,8 @@ class TestCorruptInputs:
             self._rewrite_header(ckpt, lambda h: h["config"].update(depth=3))
         elif damage == "unknown_task":
             self._rewrite_header(ckpt, lambda h: h.update(task="pos"))
+        elif damage == "trailing_bytes":
+            ckpt.write_bytes(ckpt.read_bytes() + b"\0")
         assert run(["decode", "--task", "ner", "--corpus", corpus_dir,
                     "--checkpoint", ckpt, "--out", tmp_path / "p"]) == 1
         rec = last_error(capsys)
@@ -305,7 +355,33 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "continuous entity rate" in out
 
-    def test_decode_rejects_wrong_task_checkpoint(self, tmp_path, corpus_dir):
+    def test_stats_out_writes_the_stats_record(self, tmp_path, corpus_dir):
+        assert run(["stats", "--corpus", corpus_dir, "--out", tmp_path / "stats"]) == 0
+        record = dataset_stats(load_corpus(str(corpus_dir))).to_record()
+        written = (tmp_path / "stats" / "stats.json").read_text(encoding="utf-8")
+        assert written == dumps_canonical(record) + "\n"
+
+    def test_decode_reads_the_stored_order(self, tmp_path, corpus_dir):
+        # A 1D model's predictions depend on the order it reads; decode must
+        # use each document's stored order, as decode_document does.
+        corpus = load_corpus(str(corpus_dir))
+        ordered = Corpus(tuple(replace_order(d, shuffle_order(d, i))
+                               for i, d in enumerate(corpus.documents)), corpus.splits)
+        save_corpus(ordered, str(tmp_path / "ordered"))
+        params = init_params(EncoderConfig(hidden_dim=8, vocab_buckets=64,
+                                           use_1d_position="global", seed=1),
+                             "ner", corpus.entity_types)
+        save_checkpoint(params, str(tmp_path / "model.ckpt"))
+        assert run(["decode", "--task", "ner", "--corpus", tmp_path / "ordered",
+                    "--checkpoint", tmp_path / "model.ckpt", "--out", tmp_path / "p"]) == 0
+        for doc in ordered.split("test"):
+            rec = json.loads((tmp_path / "p" / f"{doc.id}.json").read_text())
+            assert Prediction.from_record(rec) == decode_document(doc, params)
+        assert any(decode_document(doc, params) != decode_document(doc, params,
+                                                                   order=ocr_order(doc))
+                   for doc in ordered.split("test"))
+
+    def test_decode_rejects_wrong_task_checkpoint(self, tmp_path, corpus_dir, capsys):
         model_cfg = write_config(tmp_path / "m.json", FAST_MODEL)
         ckpt_dir = tmp_path / "model"
         assert run(["train", "--task", "ner", "--corpus", corpus_dir,
@@ -313,6 +389,10 @@ class TestPipeline:
         assert run(["decode", "--task", "el", "--corpus", corpus_dir,
                     "--checkpoint", ckpt_dir / "model.ckpt",
                     "--out", tmp_path / "p2"]) == 1
+        assert last_error(capsys)["error"] == "checkpoint was trained for task 'ner', not 'el'"
+        assert run(["reorder", "--corpus", corpus_dir, "--checkpoint", ckpt_dir / "model.ckpt",
+                    "--out", tmp_path / "r"]) == 1
+        assert last_error(capsys)["error"] == "checkpoint was trained for task 'ner', not 'rop'"
 
     def test_decode_refuses_old_checkpoint_layout(self, tmp_path, corpus_dir, capsys):
         corpus = load_corpus(str(corpus_dir))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ class TestGenConfig:
             GenConfig(words_per_doc=(5, 2))
         with pytest.raises(ValueError):
             GenConfig(doc_count=0)
+
+    @pytest.mark.parametrize("seed, problem", [
+        (-1, "seed value -1 is below 0"), (1.5, "seed value 1.5 is not an integer"),
+        ("3", "seed value '3' is not an integer"), (True, "seed value True is not an integer"),
+    ])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            GenConfig(seed=seed)
+        assert GenConfig(seed=np.int64(3)).seed == 3
 
 
 class TestGenCorpus:

@@ -14,7 +14,7 @@ from tokenpath.decode import (
     reorder,
     rop_decode,
 )
-from tokenpath.labels import el_grid, ner_grids, rop_grid
+from tokenpath.labels import bio_decode, el_grid, ner_grids, rop_grid
 from tokenpath.scorer import EncoderConfig, init_params, score_document
 
 
@@ -356,6 +356,11 @@ class TestRopDecode:
         s = np.zeros((2, 2))
         assert rop_decode(s) == (0,)
 
+    @pytest.mark.parametrize("beam", [1, 8])
+    def test_no_token(self, beam):
+        # Only the start node: the path is empty.
+        assert rop_decode(np.zeros((1, 1)), DecodeConfig(beam_size=beam)) == ()
+
     def test_beam_finds_better_path_than_greedy(self):
         # Greedy trap: first hop to 1 looks best but forces a terrible edge.
         s = np.full((4, 4), -8.0)
@@ -438,6 +443,17 @@ class TestRopDecode:
 
 
 class TestBioDecode:
+    def test_decodes_the_argmax_tags_under_the_given_order(self):
+        doc = gen_corpus(GenConfig(doc_count=1, words_per_doc=(20, 30), seed=2)).documents[0]
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="global", seed=1)
+        params = init_params(cfg, "bio", doc.entity_types)
+        order = shuffle_order(doc, 4)
+        tags = score_document(doc, order, params).argmax(axis=1)
+        want = bio_decode(tags, order, doc.entity_types)
+        got = decode_document(doc, params, order=order)
+        assert want and got.links is None and got.predicted_order is None
+        assert got.entities == tuple(DecodedEntity(e.type_id, e.word_indices, 0.0) for e in want)
+
     def test_nan_logits_rejected(self):
         doc = gen_corpus(GenConfig(doc_count=1, seed=2)).documents[0]
         cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=1)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,23 +12,41 @@ from tokenpath.decode import decode_document
 from tokenpath.scorer import (
     MAX_SEQUENCE,
     EncoderConfig,
+    ModelParams,
     encode,
     featurize,
     global_pointer_scores,
-    grads_to_vector,
     grid_loss,
     init_params,
     load_checkpoint,
     make_instance,
-    params_to_vector,
     save_checkpoint,
     score_document,
     task_loss,
     task_loss_and_grad,
-    vector_to_params,
 )
 
 from .test_core import make_doc
+
+
+# Parameter vectors for the finite-difference and bitwise gradient checks:
+# arrays are concatenated in name order.
+def params_to_vector(params):
+    return np.concatenate([params.arrays[n].ravel() for n in sorted(params.arrays)])
+
+
+def vector_to_params(params, vec):
+    out, i = {}, 0
+    for n in sorted(params.arrays):
+        size = params.arrays[n].size
+        out[n] = vec[i : i + size].reshape(params.arrays[n].shape).copy()
+        i += size
+    assert i == vec.size, f"vector has {vec.size} entries, params need {i}"
+    return ModelParams(params.config, params.task, params.entity_types, out)
+
+
+def grads_to_vector(params, grads):
+    return np.concatenate([grads[n].ravel() for n in sorted(params.arrays)])
 
 
 def small_corpus(n_docs=4, seed=1, **kw):
@@ -58,6 +77,14 @@ class TestEncoderConfig:
             EncoderConfig(multi_dropout_k=0)
         with pytest.raises(ValueError):
             EncoderConfig(use_1d_position="both")
+
+    @pytest.mark.parametrize("seed, problem", [
+        (-2, "seed value -2 is below 0"), (0.0, "seed value 0.0 is not an integer"),
+        ("1", "seed value '1' is not an integer"), (False, "seed value False is not an integer"),
+    ])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            EncoderConfig(seed=seed)
 
     def test_record_round_trip(self):
         cfg = EncoderConfig(use_1d_position="local", positional_residual=True, seed=9)
@@ -571,6 +598,14 @@ class TestCheckpoint:
         assert sorted(loaded.arrays) == sorted(params.arrays)
         for name, arr in params.arrays.items():
             assert np.array_equal(loaded.arrays[name], arr)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(small_config(), "ner", ("q", "a")), str(path))
+        load_checkpoint(str(path))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="m.ckpt: trailing bytes after arrays$"):
+            load_checkpoint(str(path))
 
     def test_magic_guard(self, tmp_path):
         bad = tmp_path / "x.ckpt"

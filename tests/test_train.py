@@ -9,11 +9,12 @@ from tokenpath.scorer import (
     EncoderConfig,
     init_params,
     make_instance,
-    params_to_vector,
     task_loss,
     task_loss_and_grad,
 )
 from tokenpath.train import Hyper, TrainLog, train
+
+from .test_scorer import params_to_vector
 
 
 def toy_docs(n=10, seed=1, **kw):
