@@ -20,7 +20,7 @@ import shutil
 import struct
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     Corpus,
     Document,
     InputOrder,
+    _index_problem,
     load_corpus,
     map_ordered,
     ocr_order,
@@ -126,12 +127,17 @@ def _load_corpus_checked(path: str) -> Corpus:
     return corpus
 
 
-def _split_docs(corpus: Corpus, split: str) -> tuple[Document, ...]:
+def _split_docs(corpus: Corpus, split: str, task: str | None = None) -> tuple[Document, ...]:
+    """The documents of ``split``; for ``task`` "rop", which trains on and
+    is scored against gold orders, each must hold one."""
     if split not in corpus.splits:
         raise CliError(f"corpus has no split {split!r}; has {sorted(corpus.splits)}")
     docs = corpus.split(split)
     if not docs:
         raise CliError(f"split {split!r} is empty")
+    lacking = [doc.id for doc in docs if task == "rop" and doc.gold_order is None]
+    if lacking:
+        raise CliError(f"document {lacking[0]} lacks gold_order")
     return docs
 
 
@@ -157,9 +163,7 @@ def cmd_train(args) -> int:
     config: EncoderConfig = build_section(raw, "encoder", overrides)
     hyper: Hyper = build_section(raw, "train")
     corpus = _load_corpus_checked(args.corpus)
-    docs = _split_docs(corpus, "train")
-    if args.task == "rop" and any(d.gold_order is None for d in docs):
-        raise CliError("rop training needs gold_order on every training document")
+    docs = _split_docs(corpus, "train", args.task)
     params, log = train(docs, args.task, config, hyper)
     run_config = {"task": args.task, "encoder": asdict(config), "train": asdict(hyper)}
     with _staged(args.out, run_config) as tmp:
@@ -247,35 +251,17 @@ def cmd_reorder(args) -> int:
     return 0
 
 
-def _index_problem(values, bound: int, what: str, distinct: bool = False) -> str | None:
-    seen = set()
-    for v in values:
-        if not 0 <= v < bound:
-            return f"{what} {v} is outside [0, {bound})"
-        if distinct and v in seen:
-            return f"{what} {v} repeats"
-        seen.add(v)
-    return None
-
-
 def _prediction_problem(doc: Document, field: str, got) -> str | None:
-    """The first value of a prediction's scored field that ``doc`` has no
-    word, entity or type for, or that repeats where it must not, else None.
-    A predicted order may omit tokens: ARD charges them."""
+    """The first problem of a prediction's scored field against ``doc``, a
+    valid document, else None. Predicted entities and links are held to the
+    rule gold ones are; a predicted order may omit tokens: ARD charges them."""
     if field == "predicted_order":
         return _index_problem(got, doc.n_words, "predicted_order token", distinct=True)
     if field == "links":
-        checks = [_index_problem(link, len(doc.entities), f"link {k} entity")
-                  for k, link in enumerate(got)]
+        claimed = replace(doc, links=got)
     else:
-        checks = []
-        for k, e in enumerate(got):
-            checks += [
-                None if e.word_indices else f"entity {k} is empty",
-                _index_problem(e.word_indices, doc.n_words, f"entity {k} word", distinct=True),
-                _index_problem((e.type_id,), len(doc.entity_types), f"entity {k} type"),
-            ]
-    return next(filter(None, checks), None)
+        claimed = replace(doc, entities=tuple(e.to_entity() for e in got), links=())
+    return next(iter(validate_document(claimed)), None)
 
 
 def _load_predictions(directory: str, docs: Sequence[Document], field: str) -> list:
@@ -319,39 +305,27 @@ _EVAL_FIELDS = {"ner": "entities", "bio": "entities", "el": "links", "rop": "pre
 
 def cmd_eval(args) -> int:
     corpus = _load_corpus_checked(args.corpus)
-    docs = _split_docs(corpus, args.split)
-    if args.task == "rop":
-        for doc in docs:
-            if doc.gold_order is None:
-                raise CliError(f"document {doc.id} lacks gold_order")
+    docs = _split_docs(corpus, args.split, args.task)
     preds = _load_predictions(args.predictions, docs, _EVAL_FIELDS[args.task])
-    names = corpus.entity_types
+    pairs = list(zip(docs, preds))
     # Each document is scored on its own and the counts summed: entity and
     # word keys hold word ids, which collide across documents.
-    scores = []
-    for doc, got in zip(docs, preds):
-        if args.task == "el":
-            scores.append((metrics.link_f1(doc.entities, got, doc.entities, doc.links),))
-        elif args.task == "rop":
-            gold = doc.gold_order
-            scores.append((metrics.page_bleu(got, gold), metrics.ard(got, gold)))
-        else:
-            pred = [e.to_entity() for e in got]
-            scores.append((metrics.entity_f1(pred, doc.entities, names),
-                           metrics.word_f1(pred, doc.entities, names)))
-    columns = list(zip(*scores))
-
     if args.task == "el":
-        rep = metrics.sum_reports(columns[0])
+        rep = metrics.sum_reports(
+            [metrics.link_f1(doc.entities, got, doc.entities, doc.links) for doc, got in pairs])
         report = {"precision": rep.precision, "recall": rep.recall, "f1": rep.f1, "links": rep.gold}
         print(f"link precision {rep.precision:.4f} recall {rep.recall:.4f} f1 {rep.f1:.4f} "
               f"(gold links: {rep.gold})")
     elif args.task == "rop":
-        bleu, ard = (float(np.mean(c)) for c in columns)
+        bleu = float(np.mean([metrics.page_bleu(got, doc.gold_order) for doc, got in pairs]))
+        ard = float(np.mean([metrics.ard(got, doc.gold_order) for doc, got in pairs]))
         report = {"bleu": bleu, "ard": ard, "pages": len(docs)}
         print(f"page bleu {bleu:.2f}  ard {ard:.4f}  pages {len(docs)}")
     else:
-        ent, word = (metrics.sum_reports(c) for c in columns)
+        names = corpus.entity_types
+        predicted = [(doc, [e.to_entity() for e in got]) for doc, got in pairs]
+        ent, word = (metrics.sum_reports([f1(pred, doc.entities, names) for doc, pred in predicted])
+                     for f1 in (metrics.entity_f1, metrics.word_f1))
         print(ent.format_table("entity-level"))
         print()
         print(word.format_table("word-level"))

@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -119,10 +120,6 @@ class InputOrder:
             inv[word] = pos
         return tuple(inv)
 
-    @staticmethod
-    def identity(n: int) -> "InputOrder":
-        return InputOrder(tuple(range(n)))
-
 
 @dataclass(frozen=True)
 class Document:
@@ -153,6 +150,33 @@ def _integer(value, field: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{field} value {value} is below {minimum}")
     return int(value)
+
+
+def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
+            ends: str = "[]") -> None:
+    """``ValueError`` naming ``field`` if ``value`` is not a finite real
+    number (a bool or string is refused) or lies outside the interval from
+    ``low`` to ``high``, whose ``ends`` are "[" or "(" and "]" or ")"."""
+    # Not math.isfinite: it raises OverflowError on an int too large for a float.
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{field} value {value!r} is not a finite number")
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" else value < high
+    if not (above and below):
+        raise ValueError(f"{field} value {value} is outside {ends[0]}{low:g}, {high:g}{ends[1]}")
+
+
+def _index_problem(values, bound: int, what: str, distinct: bool = False) -> str | None:
+    """The first of ``values`` outside [0, bound) or, if ``distinct``, repeated."""
+    seen = set()
+    for v in values:
+        if not 0 <= v < bound:
+            return f"{what} {v} is outside [0, {bound})"
+        if distinct and v in seen:
+            return f"{what} {v} repeats"
+        seen.add(v)
+    return None
 
 
 def is_permutation(seq: Sequence[int]) -> bool:
@@ -222,22 +246,17 @@ def validate_document(doc: Document) -> list[str]:
             out.append(f"duplicate entity type name {name!r}")
         seen_names.add(name)
 
-    n_types = len(doc.entity_types)
     for ei, ent in enumerate(doc.entities):
-        if ent.type_id < 0 or ent.type_id >= n_types:
-            out.append(f"entity {ei} has unknown type id {ent.type_id}")
-        if len(ent.word_indices) < 1:
-            out.append(f"entity {ei} is empty")
-        if len(set(ent.word_indices)) != len(ent.word_indices):
-            out.append(f"entity {ei} repeats a word index")
-        for wi in ent.word_indices:
-            if wi < 0 or wi >= n:
-                out.append(f"entity {ei} references word index {wi} outside [0, {n})")
+        out += filter(None, (
+            None if ent.word_indices else f"entity {ei} is empty",
+            _index_problem(ent.word_indices, n, f"entity {ei} word", distinct=True),
+            _index_problem((ent.type_id,), len(doc.entity_types), f"entity {ei} type"),
+        ))
 
-    n_ents = len(doc.entities)
     for li, (head, tail) in enumerate(doc.links):
-        if head < 0 or head >= n_ents or tail < 0 or tail >= n_ents:
-            out.append(f"link {li} references a missing entity: ({head}, {tail})")
+        problem = _index_problem((head, tail), len(doc.entities), f"link {li} entity")
+        if problem:
+            out.append(problem)
         elif head == tail:
             out.append(f"link {li} links entity {head} to itself")
 
@@ -354,9 +373,6 @@ def load_document(path: str) -> Document:
 class Corpus:
     documents: tuple[Document, ...]
     splits: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.documents)
 
     def split(self, name: str) -> tuple[Document, ...]:
         ids = set(self.splits.get(name, ()))

@@ -35,6 +35,7 @@ from .core import (
     Segment,
     Word,
     _integer,
+    _number,
     map_ordered,
     validate_document,
 )
@@ -86,19 +87,17 @@ class GenConfig:
         words = tuple(self.words_per_doc)  # a JSON config gives a list
         object.__setattr__(self, "words_per_doc", words)
         _integer(self.seed, "seed", minimum=0)
-        if self.doc_count < 1:
-            raise ValueError("doc_count must be >= 1")
-        if len(words) != 2 or not 1 <= words[0] <= words[1]:
-            raise ValueError(f"words_per_doc must be a range (lo, hi), 1 <= lo <= hi, got {words}")
-        if self.entity_types < 1:
-            raise ValueError("need at least one entity type")
+        _integer(self.doc_count, "doc_count", minimum=1)
+        if len(words) != 2:
+            raise ValueError(f"words_per_doc must be a range (lo, hi), got {words}")
+        lo = _integer(words[0], "words_per_doc", minimum=1)
+        _integer(words[1], "words_per_doc", minimum=lo)
+        _integer(self.entity_types, "entity_types", minimum=1)
         for field in ("multi_row_prob", "multi_column_prob", "long_entity_prob",
                       "interleave_prob", "link_prob", "val_fraction", "test_fraction"):
-            v = getattr(self, field)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{field} must be in [0, 1], got {v}")
-        if self.page_width <= 0 or self.page_height <= 0:
-            raise ValueError("page size must be positive")
+            _number(getattr(self, field), field, 0, 1)
+        for field in ("page_width", "page_height"):
+            _number(getattr(self, field), field, 0, ends="()")
         n_train, n_val, n_test = self.split_sizes()
         if n_train < 0:
             raise ValueError(f"val_fraction + test_fraction exceed the corpus: {n_val} val "

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, Entity, InputOrder, _integer, ocr_order
+from .core import Document, Entity, InputOrder, _integer, _number, ocr_order
 from .labels import bio_decode
 from .scorer import ModelParams, score_document
 
@@ -25,10 +25,9 @@ class DecodeConfig:
     beam_size: int = 8
 
     def __post_init__(self):
-        if self.max_entities < 1:
-            raise ValueError("max_entities must be >= 1")
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        _number(self.threshold, "threshold")
+        _integer(self.max_entities, "max_entities", minimum=1)
+        _integer(self.beam_size, "beam_size", minimum=1)
 
 
 @dataclass(frozen=True)

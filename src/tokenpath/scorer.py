@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, InputOrder, _integer, dumps_canonical
+from .core import Document, InputOrder, _integer, _number, dumps_canonical
 from . import labels as labels_mod
 
 MAX_SEQUENCE = 512
@@ -72,16 +72,12 @@ class EncoderConfig:
 
     def __post_init__(self):
         _integer(self.seed, "seed", minimum=0)
-        if self.hidden_dim <= 0 or self.hidden_dim % 2:
+        if _integer(self.hidden_dim, "hidden_dim", minimum=1) % 2:
             raise ValueError(f"hidden_dim must be a positive even number, got {self.hidden_dim}")
-        if self.vocab_buckets < 2:
-            raise ValueError("vocab_buckets must be >= 2")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.multi_dropout_k < 1:
-            raise ValueError("multi_dropout_k must be >= 1")
-        if self.mlp_layers < 1:
-            raise ValueError("mlp_layers must be >= 1")
+        _integer(self.vocab_buckets, "vocab_buckets", minimum=2)
+        _number(self.dropout_rate, "dropout_rate", 0, 1, "[)")
+        _integer(self.multi_dropout_k, "multi_dropout_k", minimum=1)
+        _integer(self.mlp_layers, "mlp_layers", minimum=1)
         if self.use_1d_position not in _1D_MODES:
             raise ValueError(f"use_1d_position must be one of {_1D_MODES}")
         if self.use_2d_position not in _2D_MODES:

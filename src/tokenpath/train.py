@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Document, InputOrder, ocr_order
+from .core import Document, InputOrder, _integer, _number, ocr_order
 from .datagen import shuffle_order
 from .scorer import (
     EncoderConfig,
@@ -39,14 +39,14 @@ class Hyper:
     max_grad_norm: float | None = None
 
     def __post_init__(self):
-        if self.lr <= 0 or self.steps < 0 or self.batch_size < 1:
-            raise ValueError(f"bad hyperparameters: {self}")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1]")
-        if not 0.0 <= self.shuffle_proportion <= 1.0:
-            raise ValueError("shuffle_proportion must be in [0, 1]")
-        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive when set")
+        _number(self.lr, "lr", 0, ends="()")
+        _integer(self.steps, "steps", minimum=0)
+        _integer(self.batch_size, "batch_size", minimum=1)
+        _number(self.warmup_fraction, "warmup_fraction", 0, 1)
+        _number(self.weight_decay, "weight_decay", 0, ends="[)")
+        _number(self.shuffle_proportion, "shuffle_proportion", 0, 1)
+        if self.max_grad_norm is not None:
+            _number(self.max_grad_norm, "max_grad_norm", 0, ends="()")
 
 
 @dataclass

@@ -97,12 +97,13 @@ class TestGen:
 
 class TestBadNumbers:
     # The command line after ``main``, with CORPUS, CKPT and OUT filled in,
-    # or the seed of a gen config; then how the error ends.
+    # or a config's section and fields over TINY_GEN and FAST_MODEL; then
+    # how the error ends.
     CASES = {
         "gen_negative_seed": (["gen", "--seed", -1, "--out", "OUT"], "seed value -1 is below 0"),
-        "gen_config_float_seed": (1.5, "seed value 1.5 is not an integer"),
-        "gen_config_string_seed": ("x", "seed value 'x' is not an integer"),
-        "gen_config_bool_seed": (True, "seed value True is not an integer"),
+        "gen_config_float_seed": (("gen", {"seed": 1.5}), "seed value 1.5 is not an integer"),
+        "gen_config_string_seed": (("gen", {"seed": "x"}), "seed value 'x' is not an integer"),
+        "gen_config_bool_seed": (("gen", {"seed": True}), "seed value True is not an integer"),
         "train_negative_seed": (["train", "--task", "ner", "--corpus", "CORPUS", "--seed", -1,
                                  "--out", "OUT"], "seed value -1 is below 0"),
         "decode_negative_shuffle_seed": (
@@ -116,14 +117,67 @@ class TestBadNumbers:
         "reorder_zero_workers": (
             ["reorder", "--corpus", "CORPUS", "--checkpoint", "CKPT", "--workers", 0,
              "--out", "OUT"], "--workers value 0 is below 1"),
+        "gen_float_doc_count": (("gen", {"doc_count": 2.5}),
+                                "doc_count value 2.5 is not an integer"),
+        "gen_bool_doc_count": (("gen", {"doc_count": True}),
+                               "doc_count value True is not an integer"),
+        "gen_float_entity_types": (("gen", {"entity_types": 2.5}),
+                                   "entity_types value 2.5 is not an integer"),
+        "gen_float_words_per_doc": (("gen", {"words_per_doc": [5.5, 9]}),
+                                    "words_per_doc value 5.5 is not an integer"),
+        "gen_infinite_page_width": (("gen", {"page_width": float("inf")}),
+                                    "page_width value inf is not a finite number"),
+        "gen_huge_page_width": (("gen", {"page_width": 10**400}),
+                                f"page_width value {10**400} is not a finite number"),
+        "encoder_float_hidden_dim": (("encoder", {"hidden_dim": 8.0}),
+                                     "hidden_dim value 8.0 is not an integer"),
+        "encoder_float_vocab_buckets": (("encoder", {"vocab_buckets": 32.5}),
+                                        "vocab_buckets value 32.5 is not an integer"),
+        "encoder_float_mlp_layers": (("encoder", {"mlp_layers": 1.5}),
+                                     "mlp_layers value 1.5 is not an integer"),
+        "encoder_float_multi_dropout_k": (("encoder", {"multi_dropout_k": 1.5}),
+                                          "multi_dropout_k value 1.5 is not an integer"),
+        "train_float_batch_size": (("train", {"batch_size": 1.5}),
+                                   "batch_size value 1.5 is not an integer"),
+        "train_float_steps": (("train", {"steps": 2.5}), "steps value 2.5 is not an integer"),
+        "train_bool_steps": (("train", {"steps": True}), "steps value True is not an integer"),
+        "train_negative_weight_decay": (("train", {"weight_decay": -1}),
+                                        "weight_decay value -1 is outside [0, inf)"),
+        "train_nan_weight_decay": (("train", {"weight_decay": float("nan")}),
+                                   "weight_decay value nan is not a finite number"),
+        "train_nan_lr": (("train", {"lr": float("nan")}), "lr value nan is not a finite number"),
+        "train_infinite_lr": (("train", {"lr": float("inf")}),
+                              "lr value inf is not a finite number"),
+        "decode_float_max_entities": (("decode", {"max_entities": 1.5}),
+                                      "max_entities value 1.5 is not an integer"),
+        "decode_float_beam_size": (("decode", {"beam_size": 2.5}),
+                                   "beam_size value 2.5 is not an integer"),
+        "decode_bool_beam_size": (("decode", {"beam_size": True}),
+                                  "beam_size value True is not an integer"),
+        "decode_string_threshold": (("decode", {"threshold": "0"}),
+                                    "threshold value '0' is not a finite number"),
+        "decode_nan_threshold": (("decode", {"threshold": float("nan")}),
+                                 "threshold value nan is not a finite number"),
+    }
+
+    # The command that reads each config section.
+    READERS = {
+        "gen": ["gen"],
+        "encoder": ["train", "--task", "ner", "--corpus", "CORPUS"],
+        "train": ["train", "--task", "ner", "--corpus", "CORPUS"],
+        "decode": ["decode", "--task", "ner", "--corpus", "CORPUS", "--checkpoint", "CKPT"],
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_bad_number_is_a_validation_error(self, tmp_path, corpus_dir, capsys, case):
         argv, named = self.CASES[case]
         if not isinstance(argv, list):
-            cfg = write_config(tmp_path / "gen.json", {"gen": {**TINY_GEN["gen"], "seed": argv}})
-            argv = ["gen", "--config", cfg, "--out", "OUT"]
+            section, fields = argv
+            record = {**TINY_GEN, **FAST_MODEL}
+            record[section] = {**record.get(section, {}), **fields}
+            cfg = write_config(tmp_path / "run.json", record)
+            argv = self.READERS[section] + ["--config", cfg, "--out", "OUT"]
+            named = f"bad [{section}] config: {named}"
         ckpt = tmp_path / "model.ckpt"
         task = "rop" if argv[0] == "reorder" else "ner"
         save_checkpoint(init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), task,
@@ -134,6 +188,76 @@ class TestBadNumbers:
         err = last_error(capsys)
         assert err["kind"] == "validation"
         assert err["error"].endswith(named)
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+class TestRefusals:
+    # Each refusal exits 1 with its exact message and writes nothing.
+    CASES = ["config_not_found", "config_not_an_object", "corpus_not_found",
+             "invalid_document", "missing_split", "empty_split", "rop_without_gold_order",
+             "checkpoint_not_found", "checkpoint_types_differ", "predictions_not_found"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refusal_is_a_validation_error(self, tmp_path, corpus_dir, capsys, case):
+        corpus = load_corpus(str(corpus_dir))
+        types = corpus.entity_types + (("extra",) if case == "checkpoint_types_differ" else ())
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), "ner", types),
+                        str(ckpt))
+        out = tmp_path / "out"
+        missing = tmp_path / "missing"
+
+        def decode(*flags, checkpoint=ckpt):
+            return ["decode", "--task", "ner", "--corpus", corpus_dir, "--checkpoint", checkpoint,
+                    *flags, "--out", out]
+
+        def edit_document(doc_id, edit):
+            path = corpus_dir / f"{doc_id}.json"
+            rec = json.loads(path.read_text())
+            edit(rec)
+            path.write_text(json.dumps(rec))
+            return rec
+
+        if case == "config_not_found":
+            argv = ["gen", "--config", missing, "--out", out]
+            message = f"config file not found: {missing}"
+        elif case == "config_not_an_object":
+            argv = ["gen", "--config", write_config(tmp_path / "list.json", []), "--out", out]
+            message = "config file must hold a JSON object"
+        elif case == "corpus_not_found":
+            argv = ["stats", "--corpus", missing]
+            message = f"corpus directory not found: {missing}"
+        elif case == "invalid_document":
+            rec = edit_document("doc-0000", lambda r: r["entities"][0].update(word_indices=[99]))
+            argv = ["stats", "--corpus", corpus_dir]
+            violation = f"entity 0 word 99 is outside [0, {len(rec['words'])})"
+            message = "corpus contains invalid documents: " + json.dumps(
+                [{"id": "doc-0000", "violations": [violation]}])
+        elif case == "missing_split":
+            argv = decode("--split", "dev")
+            message = "corpus has no split 'dev'; has ['test', 'train', 'val']"
+        elif case == "empty_split":
+            assert corpus.splits["val"] == ()
+            argv = decode("--split", "val")
+            message = "split 'val' is empty"
+        elif case == "rop_without_gold_order":
+            lacking = corpus.splits["train"][2]
+            edit_document(lacking, lambda r: r.pop("gold_order"))
+            argv = ["train", "--task", "rop", "--corpus", corpus_dir, "--out", out]
+            message = f"document {lacking} lacks gold_order"
+        elif case == "checkpoint_not_found":
+            argv = decode(checkpoint=missing)
+            message = f"checkpoint not found: {missing}"
+        elif case == "checkpoint_types_differ":
+            argv = decode()
+            message = f"checkpoint entity types {types} do not match corpus {corpus.entity_types}"
+        else:
+            argv = ["eval", "--task", "ner", "--predictions", missing, "--corpus", corpus_dir,
+                    "--out", out]
+            message = f"predictions directory not found: {missing}"
+        before = sorted(os.listdir(tmp_path))
+        assert run(argv) == 1
+        assert last_error(capsys) == {"error": message, "kind": "validation"}
         assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -304,6 +428,7 @@ class TestCorruptInputs:
             [{"type": 0, "word_indices": [-1]}], f"entity 0 word -1 is outside [0, {n})")),
         "bio_unknown_type": ("bio", lambda n, e: (
             [{"type": 2, "word_indices": [0]}], "entity 0 type 2 is outside [0, 2)")),
+        "el_self_link": ("el", lambda n, e: ([[0, 0]], "link 0 links entity 0 to itself")),
     }
 
     @pytest.mark.parametrize("damage", sorted(BAD_VALUES))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ class TestValidateDocument:
     def test_entity_index_out_of_range(self):
         doc = make_doc([("a", 0, 0, 5, 5)], [[0]], entities=[Entity(0, (0, 1))])
         problems = validate_document(doc)
-        assert any("entity 0" in p and "index 1" in p for p in problems)
+        assert any("entity 0" in p and "word 1" in p for p in problems)
 
     def test_word_in_two_segments(self):
         doc = make_doc([("a", 0, 0, 5, 5), ("b", 10, 0, 15, 5)], [[0, 1], [1]])
@@ -92,6 +94,55 @@ class TestValidateDocument:
             entities=[Entity(0, (0,))], links=[(0, 0)],
         )
         assert any("itself" in p for p in validate_document(doc))
+
+    # One corrupt copy of the seven-word document per violation, and the
+    # violation it must report.
+    CORRUPT = {
+        "infinite_page_width": (lambda d: replace(d, page_width=float("inf")),
+                                "page_width must be positive and finite, got inf"),
+        "zero_page_height": (lambda d: replace(d, page_height=0.0),
+                             "page_height must be positive and finite, got 0.0"),
+        "no_words": (lambda d: replace(d, words=(), segments=(), entities=()),
+                     "document has no words"),
+        "empty_word_text": (lambda d: replace(d, words=(Word("", d.words[0].box),) + d.words[1:]),
+                            "word 0 has empty text"),
+        "non_finite_box": (lambda d: replace(d, words=d.words[:1] + (
+            Word("OF", BoundingBox(20, 10, float("nan"), 20)),) + d.words[2:]),
+            "word 1: box has non-finite coordinates"),
+        "negative_box": (lambda d: replace(d, words=d.words[:1] + (
+            Word("OF", BoundingBox(-20, 10, 30, 20)),) + d.words[2:]),
+            "word 1: box has negative coordinates"),
+        "empty_segment": (lambda d: replace(d, segments=d.segments + (
+            Segment((), BoundingBox(0, 0, 1, 1)),)), "segment 3 is empty"),
+        "segment_repeats_a_word": (lambda d: replace(d, segments=(
+            replace(d.segments[0], word_indices=(0, 1, 2, 1)),) + d.segments[1:]),
+            "segment 0 repeats a word index"),
+        "segment_word_outside": (lambda d: replace(d, segments=(
+            replace(d.segments[0], word_indices=(0, 1, 2, 9)),) + d.segments[1:]),
+            "segment 0 references word index 9 outside [0, 7)"),
+        "duplicate_type_name": (lambda d: replace(d, entity_types=("q", "q")),
+                                "duplicate entity type name 'q'"),
+        "empty_entity": (lambda d: replace(d, entities=(Entity(0, ()),)), "entity 0 is empty"),
+        "entity_repeats_a_word": (lambda d: replace(d, entities=(Entity(0, (0, 1, 0)),)),
+                                  "entity 0 word 0 repeats"),
+        "entity_word_outside": (lambda d: replace(d, entities=(Entity(1, (3, -1)),)),
+                                "entity 0 word -1 is outside [0, 7)"),
+        "unknown_entity_type": (lambda d: replace(d, entities=(Entity(2, (0,)),)),
+                                "entity 0 type 2 is outside [0, 2)"),
+        "link_to_missing_entity": (lambda d: replace(d, links=((0, 1), (1, 2))),
+                                   "link 1 entity 2 is outside [0, 2)"),
+        "gold_order_not_a_permutation": (lambda d: replace(d, gold_order=(0, 1, 2, 3, 4, 5, 5)),
+                                         "gold_order is not a permutation of the document's words"),
+        "input_order_too_short": (lambda d: replace(d, input_order=(0, 1, 2)),
+                                  "input_order is not a permutation of the document's words"),
+        "gold_order_holding_a_bool": (lambda d: replace(d, gold_order=(False, 1, 2, 3, 4, 5, 6)),
+                                      "gold_order is not a permutation of the document's words"),
+    }
+
+    @pytest.mark.parametrize("damage", list(CORRUPT))
+    def test_each_violation_is_reported(self, damage):
+        corrupt, problem = self.CORRUPT[damage]
+        assert problem in validate_document(corrupt(seven_word_doc()))
 
 
 class TestOcrOrder:
@@ -127,8 +178,7 @@ class TestInputOrder:
                 InputOrder(bad)
 
     def test_identity_and_inverse(self):
-        o = InputOrder.identity(4)
-        assert o.perm == (0, 1, 2, 3)
+        assert InputOrder(tuple(range(4))).inverse() == (0, 1, 2, 3)
         assert InputOrder((2, 0, 1)).inverse() == (1, 2, 0)
 
     def test_round_trip_fuzzed(self):
@@ -148,8 +198,6 @@ class TestCorpusFormat:
         assert document_from_record(rec) == doc
 
     def test_order_keys_round_trip(self):
-        from dataclasses import replace
-
         doc = replace(seven_word_doc(), gold_order=(6, 0, 1, 2, 3, 4, 5),
                       input_order=(0, 1, 2, 3, 4, 5, 6))
         rec = document_to_record(doc)
@@ -157,8 +205,6 @@ class TestCorpusFormat:
         assert document_from_record(rec) == doc
 
     def test_corpus_save_load(self, tmp_path):
-        from dataclasses import replace
-
         docs = tuple(replace(seven_word_doc(), id=f"d{i}") for i in range(3))
         corpus = Corpus(docs, {"train": ("d0", "d1"), "val": (), "test": ("d2",)})
         save_corpus(corpus, str(tmp_path / "c"))
@@ -166,3 +212,10 @@ class TestCorpusFormat:
         assert sorted(loaded.documents, key=lambda d: d.id) == sorted(docs, key=lambda d: d.id)
         assert loaded.splits == corpus.splits
         assert loaded.split("test")[0].id == "d2"
+
+    def test_load_refuses_inconsistent_type_registries(self, tmp_path):
+        docs = (replace(seven_word_doc(), id="d0"),
+                replace(seven_word_doc(), id="d1", entity_types=("q", "a", "h")))
+        save_corpus(Corpus(docs, {"train": ("d0", "d1")}), str(tmp_path / "c"))
+        with pytest.raises(ValueError, match="inconsistent entity type registries across corpus"):
+            load_corpus(str(tmp_path / "c"))

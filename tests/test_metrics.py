@@ -187,21 +187,21 @@ class TestContinuousEntityRate:
 
     def test_continuous(self):
         d = self.doc([Entity(0, (3, 4, 5))])
-        assert continuous_entity_rate(d, InputOrder.identity(7)) == 1.0
+        assert continuous_entity_rate(d, InputOrder(tuple(range(7)))) == 1.0
 
     def test_interrupted(self):
         d = self.doc([Entity(0, (0, 1, 2, 6))])
-        assert continuous_entity_rate(d, InputOrder.identity(7)) == 0.0
+        assert continuous_entity_rate(d, InputOrder(tuple(range(7)))) == 0.0
 
     def test_direction_sensitive(self):
         d = self.doc([Entity(0, (4, 3))])
-        assert continuous_entity_rate(d, InputOrder.identity(7)) == 0.0
+        assert continuous_entity_rate(d, InputOrder(tuple(range(7)))) == 0.0
         # an order that puts 4 immediately before 3 makes it continuous
         order = InputOrder((4, 3, 0, 1, 2, 5, 6))
         assert continuous_entity_rate(d, order) == 1.0
 
     def test_no_entities_is_none(self):
-        assert continuous_entity_rate(self.doc([]), InputOrder.identity(7)) is None
+        assert continuous_entity_rate(self.doc([]), InputOrder(tuple(range(7)))) is None
 
     def test_sorting_order_makes_all_continuous(self):
         d = self.doc([Entity(0, (5, 2)), Entity(1, (6, 0, 1))])
@@ -212,7 +212,7 @@ class TestContinuousEntityRate:
         d1 = self.doc([Entity(0, (0, 1)), Entity(0, (2, 4))])  # 1 of 2
         d2 = self.doc([Entity(0, (5, 6))])  # 1 of 1
         rate = corpus_continuous_entity_rate(
-            [d1, d2], [InputOrder.identity(7)] * 2
+            [d1, d2], [InputOrder(tuple(range(7)))] * 2
         )
         assert rate == pytest.approx(2 / 3)
 
