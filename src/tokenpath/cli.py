@@ -20,7 +20,7 @@ import shutil
 import struct
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     Corpus,
     Document,
     InputOrder,
+    _annotation_problems,
     _index_problem,
     load_corpus,
     map_ordered,
@@ -199,13 +200,15 @@ def _load_checkpoint_checked(path: str, task: str):
     return params
 
 
-@contextlib.contextmanager
-def _naming(doc: Document):
-    """Re-raise a decoding ValueError with the id of the document it hit."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"document {doc.id}: {exc}") from exc
+def _per_document(fn, docs: Sequence[Document], workers: int) -> list:
+    """``fn(index, doc)`` for each document in order, on ``workers`` threads;
+    a ValueError is re-raised with the id of the document it hit."""
+    def run(pair: tuple[int, Document]):
+        try:
+            return fn(*pair)
+        except ValueError as exc:
+            raise ValueError(f"document {pair[1].id}: {exc}") from exc
+    return map_ordered(run, enumerate(docs), workers)
 
 
 def cmd_decode(args) -> int:
@@ -220,12 +223,8 @@ def cmd_decode(args) -> int:
             f"{corpus.entity_types}"
         )
 
-    def run(pair: tuple[int, Document]) -> Prediction:
-        i, doc = pair
-        with _naming(doc):
-            return decode_document(doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed))
-
-    preds = map_ordered(run, enumerate(docs), args.workers)
+    preds = _per_document(lambda i, doc: decode_document(
+        doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed)), docs, args.workers)
     run_config = {"task": args.task, "split": args.split, "decode": asdict(dcfg),
                   "shuffle_seed": args.shuffle_seed}
     with _staged(args.out, run_config) as tmp:
@@ -240,11 +239,8 @@ def cmd_reorder(args) -> int:
     corpus = _load_corpus_checked(args.corpus)
     dcfg = build_section(load_run_config(args.config), "decode")
 
-    def run(doc: Document) -> Document:
-        with _naming(doc):
-            return replace_order(doc, reorder(doc, params, dcfg))
-
-    docs = map_ordered(run, corpus.documents, args.workers)
+    docs = _per_document(lambda _, doc: replace_order(doc, reorder(doc, params, dcfg)),
+                         corpus.documents, args.workers)
     with _staged(args.out, {"decode": asdict(dcfg), "reordered": True}) as tmp:
         save_corpus(Corpus(tuple(docs), corpus.splits), tmp)
     print(f"reordered {len(docs)} documents -> {args.out}")
@@ -257,11 +253,7 @@ def _prediction_problem(doc: Document, field: str, got) -> str | None:
     rule gold ones are; a predicted order may omit tokens: ARD charges them."""
     if field == "predicted_order":
         return _index_problem(got, doc.n_words, "predicted_order token", distinct=True)
-    if field == "links":
-        claimed = replace(doc, links=got)
-    else:
-        claimed = replace(doc, entities=tuple(e.to_entity() for e in got), links=())
-    return next(iter(validate_document(claimed)), None)
+    return next(iter(_annotation_problems(doc, **{field: got})), None)
 
 
 def _load_predictions(directory: str, docs: Sequence[Document], field: str) -> list:

@@ -191,6 +191,25 @@ def is_permutation(seq: Sequence[int]) -> bool:
     return True
 
 
+def _annotation_problems(doc: Document, entities: Sequence = (), links: Sequence = ()) -> list[str]:
+    """Every problem of ``entities`` (with ``type_id`` and ``word_indices``) against
+    ``doc``'s words and entity types, and of ``links`` against ``doc``'s entities."""
+    out: list[str] = []
+    for ei, ent in enumerate(entities):
+        out += filter(None, (
+            None if ent.word_indices else f"entity {ei} is empty",
+            _index_problem(ent.word_indices, doc.n_words, f"entity {ei} word", distinct=True),
+            _index_problem((ent.type_id,), len(doc.entity_types), f"entity {ei} type"),
+        ))
+    for li, (head, tail) in enumerate(links):
+        problem = _index_problem((head, tail), len(doc.entities), f"link {li} entity")
+        if problem:
+            out.append(problem)
+        elif head == tail:
+            out.append(f"link {li} links entity {head} to itself")
+    return out
+
+
 def validate_document(doc: Document) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
@@ -246,19 +265,7 @@ def validate_document(doc: Document) -> list[str]:
             out.append(f"duplicate entity type name {name!r}")
         seen_names.add(name)
 
-    for ei, ent in enumerate(doc.entities):
-        out += filter(None, (
-            None if ent.word_indices else f"entity {ei} is empty",
-            _index_problem(ent.word_indices, n, f"entity {ei} word", distinct=True),
-            _index_problem((ent.type_id,), len(doc.entity_types), f"entity {ei} type"),
-        ))
-
-    for li, (head, tail) in enumerate(doc.links):
-        problem = _index_problem((head, tail), len(doc.entities), f"link {li} entity")
-        if problem:
-            out.append(problem)
-        elif head == tail:
-            out.append(f"link {li} links entity {head} to itself")
+    out += _annotation_problems(doc, doc.entities, doc.links)
 
     for label, order in (("gold_order", doc.gold_order), ("input_order", doc.input_order)):
         if order is not None and (len(order) != n or not is_permutation(order)):
@@ -295,7 +302,29 @@ def ocr_order(doc: Document) -> InputOrder:
 #    "entities": [{"type": int, "word_indices": [int]}],
 #    "links": [[int,int]]}
 # plus optional "gold_order" and "order" keys. A corpus is a directory of
-# such files with a manifest listing the train/val/test splits.
+# such files with a manifest listing the train/val/test splits. Every int
+# is read by ``_integer``'s rule: a float, bool or string is refused.
+
+
+def _indices(values, field: str) -> tuple[int, ...]:
+    """``values`` as ints by ``_integer``'s rule; an exact int skips the call,
+    which would otherwise take most of the time of reading a corpus."""
+    return tuple(v if type(v) is int else _integer(v, field) for v in values)
+
+
+def _entity_from_record(rec: Mapping) -> tuple[int, tuple[int, ...]]:
+    """The type id and word indices of an entity record."""
+    return _integer(rec["type"], "type"), _indices(rec["word_indices"], "word_indices")
+
+
+def _entity_record(entity) -> dict:
+    """The record of an entity (anything with ``type_id`` and ``word_indices``)."""
+    return {"type": entity.type_id, "word_indices": list(entity.word_indices)}
+
+
+def _links_from_record(values) -> tuple[tuple[int, int], ...]:
+    """Link records as (head, tail) pairs; unpacking refuses any other length."""
+    return tuple((head, tail) for head, tail in (_indices(l, "links") for l in values))
 
 
 def document_to_record(doc: Document) -> dict:
@@ -309,10 +338,7 @@ def document_to_record(doc: Document) -> dict:
             for s in doc.segments
         ],
         "entity_types": list(doc.entity_types),
-        "entities": [
-            {"type": e.type_id, "word_indices": list(e.word_indices)}
-            for e in doc.entities
-        ],
+        "entities": [_entity_record(e) for e in doc.entities],
         "links": [list(l) for l in doc.links],
     }
     if doc.gold_order is not None:
@@ -333,17 +359,14 @@ def document_from_record(rec: Mapping) -> Document:
         page_height=float(rec["page_height"]),
         words=tuple(Word(w["text"], box(w["box"])) for w in rec["words"]),
         segments=tuple(
-            Segment(tuple(int(i) for i in s["word_indices"]), box(s["box"]))
+            Segment(_indices(s["word_indices"], "word_indices"), box(s["box"]))
             for s in rec["segments"]
         ),
         entity_types=tuple(rec.get("entity_types", ())),
-        entities=tuple(
-            Entity(int(e["type"]), tuple(int(i) for i in e["word_indices"]))
-            for e in rec.get("entities", ())
-        ),
-        links=tuple((int(a), int(b)) for a, b in rec.get("links", ())),
-        gold_order=tuple(int(i) for i in rec["gold_order"]) if "gold_order" in rec else None,
-        input_order=tuple(int(i) for i in rec["order"]) if "order" in rec else None,
+        entities=tuple(Entity(*_entity_from_record(e)) for e in rec.get("entities", ())),
+        links=_links_from_record(rec.get("links", ())),
+        gold_order=_indices(rec["gold_order"], "gold_order") if "gold_order" in rec else None,
+        input_order=_indices(rec["order"], "order") if "order" in rec else None,
     )
 
 

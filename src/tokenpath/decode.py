@@ -13,7 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Document, Entity, InputOrder, _integer, _number, ocr_order
+from .core import (Document, Entity, InputOrder, _entity_from_record, _entity_record,
+                   _indices, _integer, _links_from_record, _number, ocr_order)
 from .labels import bio_decode
 from .scorer import ModelParams, score_document
 
@@ -169,13 +170,10 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
         width = min(config.beam_size, int(np.count_nonzero(flat < np.inf)))
         if width == 0:
             raise ValueError(f"no finite edge extends any path at step {step + 1} of {n}")
-        if width == 1:
-            top = flat.argmin(keepdims=True)
-        else:
-            # Visited cells are never finite, so width < flat.size.
-            kth = np.partition(flat, width - 1)[width - 1]
-            pool = np.flatnonzero(flat <= kth)
-            top = pool[np.argsort(flat[pool], kind="stable")[:width]]
+        # Visited cells are never finite, so width < flat.size.
+        kth = np.partition(flat, width - 1)[width - 1]
+        pool = np.flatnonzero(flat <= kth)
+        top = pool[np.argsort(flat[pool], kind="stable")[:width]]
         last, parent = np.divmod(top, len(path_cost))
         path_cost = flat[top]
         blocked = blocked[:, parent]
@@ -221,14 +219,8 @@ class Prediction:
     def to_record(self) -> dict:
         rec: dict = {"id": self.doc_id}
         if self.entities is not None:
-            rec["entities"] = [
-                {
-                    "type": e.type_id,
-                    "word_indices": list(e.word_indices),
-                    "confidence": e.confidence,
-                }
-                for e in self.entities
-            ]
+            rec["entities"] = [{**_entity_record(e), "confidence": e.confidence}
+                               for e in self.entities]
         if self.links is not None:
             rec["links"] = [list(l) for l in self.links]
         if self.predicted_order is not None:
@@ -240,25 +232,11 @@ class Prediction:
         """The prediction a record holds; ``ValueError`` naming the field
         if a type, word index, link end or order token is not an integer
         (a float, bool or string is refused, not truncated)."""
-        entities = None
-        if "entities" in rec:
-            entities = tuple(
-                DecodedEntity(
-                    _integer(e["type"], "type"),
-                    tuple(_integer(i, "word_indices") for i in e["word_indices"]),
-                    float(e.get("confidence", 0.0)),
-                )
-                for e in rec["entities"]
-            )
-        links = (
-            tuple((_integer(a, "links"), _integer(b, "links")) for a, b in rec["links"])
-            if "links" in rec else None
-        )
-        order = (
-            tuple(_integer(i, "predicted_order") for i in rec["predicted_order"])
-            if "predicted_order" in rec
-            else None
-        )
+        entities = (tuple(DecodedEntity(*_entity_from_record(e), float(e.get("confidence", 0.0)))
+                          for e in rec["entities"]) if "entities" in rec else None)
+        links = _links_from_record(rec["links"]) if "links" in rec else None
+        order = (_indices(rec["predicted_order"], "predicted_order")
+                 if "predicted_order" in rec else None)
         return Prediction(str(rec["id"]), entities, links, order)
 
 

@@ -24,11 +24,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Document, Entity, InputOrder
+from .core import Document, Entity, InputOrder, _annotation_problems
 
 
 class GridConstructionError(ValueError):
     """Gold annotations that a grid cannot represent unambiguously."""
+
+
+def _refuse_bad_annotations(doc: Document, links=()) -> None:
+    """``ValueError`` with core's first problem of ``doc``'s entities and ``links``."""
+    problems = _annotation_problems(doc, doc.entities, links)
+    if problems:
+        raise ValueError(f"doc {doc.id}: {problems[0]}")
 
 
 def ner_grids(doc: Document) -> np.ndarray:
@@ -37,7 +44,9 @@ def ner_grids(doc: Document) -> np.ndarray:
     Raises GridConstructionError when two same-type entities give one token
     two different successors; a grid keeps at most one outgoing edge per
     token, so such documents are rejected rather than silently mangled.
+    Raises ``ValueError`` on an entity that core's rule refuses.
     """
+    _refuse_bad_annotations(doc)
     n = doc.n_words
     n_types = len(doc.entity_types)
     grids = np.zeros((n_types, n, n), dtype=bool)
@@ -64,14 +73,12 @@ def el_grid(doc: Document) -> np.ndarray:
 
     Every token of the head entity points at every token of the tail
     entity, so the link signal survives any tokenization of the pair.
+    Raises ``ValueError`` on an entity or link that core's rule refuses.
     """
+    _refuse_bad_annotations(doc, doc.links)
     n = doc.n_words
     grid = np.zeros((n, n), dtype=bool)
     for head, tail in doc.links:
-        if head < 0 or head >= len(doc.entities) or tail < 0 or tail >= len(doc.entities):
-            raise ValueError(f"doc {doc.id}: link ({head},{tail}) references a missing entity")
-        if head == tail:
-            raise ValueError(f"doc {doc.id}: entity {head} linked to itself")
         for a in doc.entities[head].word_indices:
             for b in doc.entities[tail].word_indices:
                 grid[a, b] = True
@@ -113,8 +120,10 @@ def bio_encode(doc: Document, order: InputOrder) -> np.ndarray:
     order AND in the entity's own order becomes an independent B/I span;
     a non-continuous entity therefore fragments into several spans, which
     is precisely how disordered inputs break sequence labeling. Overlaps
-    (corrupt gold only) resolve in favor of the earlier entity.
+    (corrupt gold only) resolve in favor of the earlier entity. Raises
+    ``ValueError`` on an entity that core's rule refuses.
     """
+    _refuse_bad_annotations(doc)
     inv = order.inverse()
     tags = [0] * doc.n_words
     for ent in doc.entities:

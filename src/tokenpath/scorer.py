@@ -115,8 +115,6 @@ class ModelParams:
 def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
     """Name -> (shape, init scale) of every array of a model, in the order
     ``init_params`` draws them; scale 0.0 means zeros (no draw)."""
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
     d = config.hidden_dim
     w = 1.0 / np.sqrt(d)
     table = {

@@ -269,14 +269,35 @@ class TestCorruptInputs:
         "file_holds_another_id": "doc-0000.json holds document id 'other', not 'doc-0000'",
     }
 
+    # Where in a document record an index is not an integer, the value put
+    # there, and how the error names it. Each used to be truncated by int().
+    CORPUS_NON_INTEGERS = {
+        "float_entity_word": (("entities", 0, "word_indices", 0), 7.9, "word_indices value 7.9"),
+        "bool_entity_type": (("entities", 0, "type"), True, "type value True"),
+        "float_link_end": (("links",), [[0, 1.0]], "links value 1.0"),
+        "string_segment_index": (("segments", 0, "word_indices", 0), "7",
+                                 "word_indices value '7'"),
+        "float_gold_order_token": (("gold_order", 0), 0.5, "gold_order value 0.5"),
+        "float_order_token": (("order",), [0, 2.0], "order value 2.0"),
+    }
+
     @pytest.mark.parametrize("damage", ["words_not_a_list", "text_not_a_string",
-                                        "manifest_not_an_object", *MANIFEST_DAMAGE])
+                                        "manifest_not_an_object", *MANIFEST_DAMAGE,
+                                        *CORPUS_NON_INTEGERS])
     def test_corrupt_corpus_is_a_validation_error(self, corpus_dir, capsys, damage):
         doc_path = corpus_dir / "doc-0000.json"
         manifest_path = corpus_dir / "manifest.json"
         rec = json.loads(doc_path.read_text())
         manifest = json.loads(manifest_path.read_text())
-        if damage == "words_not_a_list":
+        message = self.MANIFEST_DAMAGE.get(damage, "")
+        if damage in self.CORPUS_NON_INTEGERS:
+            where, value, named = self.CORPUS_NON_INTEGERS[damage]
+            target = rec
+            for key in where[:-1]:
+                target = target[key]
+            target[where[-1]] = value
+            message = f"{named} is not an integer"
+        elif damage == "words_not_a_list":
             rec["words"] = 5
         elif damage == "text_not_a_string":
             rec["words"][0]["text"] = 7
@@ -295,7 +316,7 @@ class TestCorruptInputs:
         err = last_error(capsys)
         assert err["kind"] == "validation"
         assert err["error"].startswith("cannot load corpus at ")
-        assert self.MANIFEST_DAMAGE.get(damage, "") in err["error"]
+        assert err["error"].endswith(message)
 
     @staticmethod
     def _rewrite_header(path, edit):
@@ -730,8 +751,27 @@ class TestDeterminism:
                 assert open(fa, "rb").read() == open(fb, "rb").read(), fa
 
     def test_workers_do_not_change_bytes(self, tmp_path):
+        def same_files(a, b):
+            assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+            for name in os.listdir(a):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
         gen_cfg = write_config(tmp_path / "g.json", TINY_GEN)
         assert run(["gen", "--config", gen_cfg, "--out", tmp_path / "w1"]) == 0
         assert run(["gen", "--config", gen_cfg, "--workers", 4, "--out", tmp_path / "w4"]) == 0
-        for name in os.listdir(tmp_path / "w1"):
-            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+        same_files(tmp_path / "w1", tmp_path / "w4")
+
+        corpus = tmp_path / "w1"
+        model_cfg = write_config(tmp_path / "m.json", FAST_MODEL)
+        for task in ("ner", "rop"):
+            assert run(["train", "--task", task, "--corpus", corpus, "--config", model_cfg,
+                        "--out", tmp_path / f"{task}_model"]) == 0
+        for workers in (1, 2):
+            assert run(["decode", "--task", "ner", "--corpus", corpus, "--checkpoint",
+                        tmp_path / "ner_model" / "model.ckpt", "--shuffle-seed", 3,
+                        "--workers", workers, "--out", tmp_path / f"preds{workers}"]) == 0
+            assert run(["reorder", "--corpus", corpus, "--checkpoint",
+                        tmp_path / "rop_model" / "model.ckpt", "--workers", workers,
+                        "--out", tmp_path / f"reordered{workers}"]) == 0
+        same_files(tmp_path / "preds1", tmp_path / "preds2")
+        same_files(tmp_path / "reordered1", tmp_path / "reordered2")

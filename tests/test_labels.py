@@ -96,16 +96,18 @@ class TestElGrid:
             [("a", 0, 0, 5, 5)], [[0]],
             entities=[Entity(0, (0,))], links=[(0, 0)],
         )
-        with pytest.raises(ValueError, match="itself"):
+        with pytest.raises(ValueError) as info:
             el_grid(doc)
+        assert str(info.value) == "doc t: link 0 links entity 0 to itself"
 
     def test_missing_entity_rejected(self):
         doc = make_doc(
             [("a", 0, 0, 5, 5)], [[0]],
             entities=[Entity(0, (0,))], links=[(0, 3)],
         )
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError) as info:
             el_grid(doc)
+        assert str(info.value) == "doc t: link 0 entity 3 is outside [0, 1)"
 
 
 class TestRopGrid:
@@ -213,7 +215,7 @@ def _reference_tag_ids(doc, order):
 
 def _random_entities(rng, n, n_types):
     """Up to five entities of 1-6 words drawn with replacement, so they may
-    overlap one another and repeat a word (corrupt gold)."""
+    overlap one another (corrupt gold) and repeat a word (refused)."""
     return tuple(
         Entity(int(rng.integers(n_types)), tuple(int(w) for w in rng.integers(n, size=rng.integers(1, 7))))
         for _ in range(rng.integers(0, 6))
@@ -297,13 +299,23 @@ class TestBio:
 
         rng = np.random.default_rng(5)
         corpus = gen_corpus(GenConfig(doc_count=150, words_per_doc=(1, 60), seed=21))
+        refused = 0
         for k, doc in enumerate(corpus.documents):
             corrupt = replace(doc, entities=_random_entities(rng, doc.n_words, len(doc.entity_types)))
             for d in (doc, corrupt):
+                repeats = [i for i, e in enumerate(d.entities)
+                           if len(set(e.word_indices)) < len(e.word_indices)]
                 for order in (ocr_order(d), InputOrder(d.gold_order), shuffle_order(d, k)):
+                    if repeats:
+                        with pytest.raises(ValueError, match=f"^doc {d.id}: entity {repeats[0]} word"
+                                                             r" \d+ repeats$"):
+                            bio_encode(d, order)
+                        refused += 1
+                        continue
                     got = bio_encode(d, order)
                     assert got.dtype == np.int64
                     assert np.array_equal(got, _reference_tag_ids(d, order))
+        assert 0 < refused < 3 * len(corpus.documents)
 
     def test_decode_equals_reference(self):
         rng = np.random.default_rng(6)
@@ -316,3 +328,33 @@ class TestBio:
             tag_ids = np.where(rng.random(n) < 0.3, 0, rng.integers(1, len(names), size=n))
             tags = [names[tag_ids[w]] for w in order.perm]
             assert bio_decode(tag_ids, order, types) == _reference_bio_decode(tags, order, types)
+
+
+class TestBuildersRefuseBadAnnotations:
+    """Every target builder raises core's first problem of the entities it
+    reads; a word index of -1 would otherwise mark the last word."""
+
+    DAMAGE = {
+        "word_before_the_first": lambda ent, doc: (
+            Entity(ent.type_id, (-1,) + ent.word_indices[1:]),
+            f"entity 0 word -1 is outside [0, {doc.n_words})"),
+        "type_outside_the_registry": lambda ent, doc: (
+            Entity(len(doc.entity_types), ent.word_indices),
+            f"entity 0 type {len(doc.entity_types)} is outside [0, {len(doc.entity_types)})"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("build", ["ner_grids", "el_grid", "bio_encode"])
+    def test_builder_raises_core_problem(self, build, damage):
+        from dataclasses import replace
+
+        from tokenpath.core import ocr_order
+
+        doc = gen_corpus(GenConfig(doc_count=1, seed=3)).documents[0]
+        first, problem = self.DAMAGE[damage](doc.entities[0], doc)
+        bad = replace(doc, entities=(first,) + doc.entities[1:])
+        builders = {"ner_grids": ner_grids, "el_grid": el_grid,
+                    "bio_encode": lambda d: bio_encode(d, ocr_order(d))}
+        with pytest.raises(ValueError) as info:
+            builders[build](bad)
+        assert str(info.value) == f"doc {doc.id}: {problem}"
