@@ -167,6 +167,18 @@ def _number(value, field: str, low: float = -math.inf, high: float = math.inf,
         raise ValueError(f"{field} value {value} is outside {ends[0]}{low:g}, {high:g}{ends[1]}")
 
 
+def _real(value, field: str) -> float:
+    """``value`` as a float; ``ValueError`` naming ``field`` if it is not a
+    real number (a bool or string is refused). Finiteness is the caller's
+    check; an int too large for a float reads as an infinity."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} value {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _index_problem(values, bound: int, what: str, distinct: bool = False) -> str | None:
     """The first of ``values`` outside [0, bound) or, if ``distinct``, repeated."""
     seen = set()
@@ -303,7 +315,8 @@ def ocr_order(doc: Document) -> InputOrder:
 #    "links": [[int,int]]}
 # plus optional "gold_order" and "order" keys. A corpus is a directory of
 # such files with a manifest listing the train/val/test splits. Every int
-# is read by ``_integer``'s rule: a float, bool or string is refused.
+# is read by ``_integer``'s rule: a float, bool or string is refused; the
+# page size and box coordinates by ``_real``'s: a bool or string is refused.
 
 
 def _indices(values, field: str) -> tuple[int, ...]:
@@ -350,13 +363,14 @@ def document_to_record(doc: Document) -> dict:
 
 def document_from_record(rec: Mapping) -> Document:
     def box(vals) -> BoundingBox:
-        x0, y0, x1, y1 = (float(v) for v in vals)
+        # An exact float skips the call, as in ``_indices``.
+        x0, y0, x1, y1 = (v if type(v) is float else _real(v, "box") for v in vals)
         return BoundingBox(x0, y0, x1, y1)
 
     return Document(
         id=str(rec["id"]),
-        page_width=float(rec["page_width"]),
-        page_height=float(rec["page_height"]),
+        page_width=_real(rec["page_width"], "page_width"),
+        page_height=_real(rec["page_height"], "page_height"),
         words=tuple(Word(w["text"], box(w["box"])) for w in rec["words"]),
         segments=tuple(
             Segment(_indices(s["word_indices"], "word_indices"), box(s["box"]))
@@ -427,14 +441,19 @@ def load_corpus(directory: str) -> Corpus:
     if repeated:
         raise ValueError(f"manifest lists document ids more than once: {repeated[:5]}")
     ids.sort()
-    docs = tuple(load_document(os.path.join(directory, f"{i}.json")) for i in ids)
-    for i, doc in zip(ids, docs):
+    docs = []
+    for i in ids:
+        try:
+            doc = load_document(os.path.join(directory, f"{i}.json"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{i}.json: {exc}") from exc
         if doc.id != i:
             raise ValueError(f"{i}.json holds document id {doc.id!r}, not {i!r}")
+        docs.append(doc)
     types = {d.entity_types for d in docs}
     if len(types) > 1:
         raise ValueError(f"inconsistent entity type registries across corpus: {types}")
-    return Corpus(documents=docs, splits=splits)
+    return Corpus(documents=tuple(docs), splits=splits)
 
 
 def replace_order(doc: Document, order: InputOrder) -> Document:

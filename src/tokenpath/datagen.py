@@ -13,7 +13,7 @@ from the gold order:
   fragment / neighbor / fragment;
 * two columns: the gold flow is column-major, the scan row-major.
 
-Word texts come from small per-type lexicons (entity-initial, entity-
+Word texts come from small per-type pools (entity-initial, per-position
 continuation, and singleton pools are disjoint across types), which gives
 the toy scorer a learnable text signal alongside geometry. That is a
 deliberately artificial convenience, not a claim about real documents.
@@ -21,7 +21,9 @@ deliberately artificial convenience, not a claim about real documents.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -116,37 +118,15 @@ def type_names(count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class _Lexicon:
-    """Per-type pools. Continuation pools are indexed by position within the
-    entity (capped), the way real fields chain label -> unit -> value, so
+def _entity_texts(name: str, k: int, rng) -> list[str]:
+    """The words of a ``k``-word entity of type ``name``: one singleton word,
+    or an initial word then continuations drawn from a pool per position
+    (capped at 3), the way real fields chain label -> unit -> value, so
     consecutive-pair text patterns are informative."""
-
-    initial: tuple[str, ...]
-    cont_pools: tuple[tuple[str, ...], ...]
-    singleton: tuple[str, ...]
-
-    def sample_entity(self, k: int, rng) -> list[str]:
-        if k == 1:
-            return [str(rng.choice(self.singleton))]
-        texts = [str(rng.choice(self.initial))]
-        for j in range(1, k):
-            pool = self.cont_pools[min(j, len(self.cont_pools)) - 1]
-            texts.append(str(rng.choice(pool)))
-        return texts
-
-
-def _lexicons(names: Sequence[str]) -> list[_Lexicon]:
-    return [
-        _Lexicon(
-            initial=tuple(f"{n.upper()}:{i}" for i in range(6)),
-            cont_pools=tuple(
-                tuple(f"{n}-{s}{i}" for i in range(3)) for s in range(1, 4)
-            ),
-            singleton=tuple(f"#{n}{i}" for i in range(4)),
-        )
-        for n in names
-    ]
+    if k == 1:
+        return [f"#{name}{rng.integers(4)}"]
+    return [f"{name.upper()}:{rng.integers(6)}"] + [
+        f"{name}-{min(j, 3)}{rng.integers(3)}" for j in range(1, k)]
 
 
 def gen_corpus(config: GenConfig, workers: int = 1) -> Corpus:
@@ -207,6 +187,7 @@ def _gen_document(doc_idx: int, cfg: GenConfig, names: Sequence[str]) -> Documen
 
 
 def _plan_units(cfg: GenConfig, rng) -> list[tuple]:
+    """(entity type or None for filler, word count, pattern) per unit."""
     lo, hi = cfg.words_per_doc
     target = int(rng.integers(lo, hi + 1))
     units: list[tuple] = []
@@ -215,7 +196,7 @@ def _plan_units(cfg: GenConfig, rng) -> list[tuple]:
         room = hi - planned
         if units and rng.random() < 0.25:
             k = int(min(rng.integers(1, 3), room))
-            units.append(("filler", k))
+            units.append((None, k, "flow"))
             planned += k
             continue
         if rng.random() < cfg.long_entity_prob:
@@ -230,7 +211,7 @@ def _plan_units(cfg: GenConfig, rng) -> list[tuple]:
                 pattern = "interleave"
             elif rng.random() < cfg.multi_row_prob:
                 pattern = "multirow"
-        units.append(("entity", t, k, pattern))
+        units.append((t, k, pattern))
         planned += k + (1 if pattern != "flow" else 0)
     return units
 
@@ -302,16 +283,15 @@ class _PageWriter:
         return start + total <= self.x1
 
 
-def _lay_units(writer: _PageWriter, units, lex, rng) -> list[tuple[int, list[int]]]:
+def _lay_units(writer: _PageWriter, units, names, rng) -> list[tuple[int, list[int]]]:
     """Place units; returns (type_id, word creation indices) per entity."""
     entities: list[tuple[int, list[int]]] = []
-    for unit in units:
-        if unit[0] == "filler":
-            writer.put_flow([str(text) for text in rng.choice(FILLER_WORDS, size=unit[1])])
+    for t, k, pattern in units:
+        if t is None:
+            writer.put_flow([str(text) for text in rng.choice(FILLER_WORDS, size=k)])
             continue
 
-        _, t, k, pattern = unit
-        texts = lex[t].sample_entity(k, rng)
+        texts = _entity_texts(names[t], k, rng)
         widths = [_width(s) for s in texts]
 
         idxs = None
@@ -379,20 +359,18 @@ def _segment_rows(boxes: Sequence[BoundingBox]) -> list[list[int]]:
     return segments
 
 
+def _column_split(units) -> int:
+    """How many units go to column 1: up to the one that reaches half the words."""
+    seen = list(accumulate(k for _, k, _ in units))
+    return bisect_left(seen, seen[-1] / 2) + 1
+
+
 def _try_gen(doc_idx: int, cfg: GenConfig, names: Sequence[str], rng) -> Document:
-    lex = _lexicons(names)
     units = _plan_units(cfg, rng)
     writer = _PageWriter(cfg.page_height - MARGIN, rng)
     if rng.random() < cfg.multi_column_prob:
         col_w = (cfg.page_width - 2 * MARGIN - COLUMN_GAP) / 2
-        counts = [u[1] if u[0] == "filler" else u[2] for u in units]
-        half = sum(counts) / 2
-        acc, split_at = 0, len(units)
-        for i, c in enumerate(counts):
-            acc += c
-            if acc >= half:
-                split_at = i + 1
-                break
+        split_at = _column_split(units)
         x2 = MARGIN + col_w + COLUMN_GAP
         columns = [(MARGIN, MARGIN + col_w, units[:split_at]),
                    (x2, x2 + col_w, units[split_at:])]
@@ -401,7 +379,7 @@ def _try_gen(doc_idx: int, cfg: GenConfig, names: Sequence[str], rng) -> Documen
     entities = []
     for x0, x1, column_units in columns:
         writer.column(x0, x1)
-        entities += _lay_units(writer, column_units, lex, rng)
+        entities += _lay_units(writer, column_units, names, rng)
     texts, boxes = writer.texts, writer.boxes
 
     n = len(texts)

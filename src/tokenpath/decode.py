@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (Document, Entity, InputOrder, _entity_from_record, _entity_record,
-                   _indices, _integer, _links_from_record, _number, ocr_order)
+                   _indices, _integer, _links_from_record, _number, _real, ocr_order)
 from .labels import bio_decode
 from .scorer import ModelParams, score_document
 
@@ -231,8 +231,10 @@ class Prediction:
     def from_record(rec: Mapping) -> "Prediction":
         """The prediction a record holds; ``ValueError`` naming the field
         if a type, word index, link end or order token is not an integer
-        (a float, bool or string is refused, not truncated)."""
-        entities = (tuple(DecodedEntity(*_entity_from_record(e), float(e.get("confidence", 0.0)))
+        (a float, bool or string is refused, not truncated) or a
+        confidence is not a number (a bool or string is refused)."""
+        entities = (tuple(DecodedEntity(*_entity_from_record(e),
+                                        _real(e.get("confidence", 0.0), "confidence"))
                           for e in rec["entities"]) if "entities" in rec else None)
         links = _links_from_record(rec["links"]) if "links" in rec else None
         order = (_indices(rec["predicted_order"], "predicted_order")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -269,34 +270,39 @@ class TestCorruptInputs:
         "file_holds_another_id": "doc-0000.json holds document id 'other', not 'doc-0000'",
     }
 
-    # Where in a document record an index is not an integer, the value put
-    # there, and how the error names it. Each used to be truncated by int().
-    CORPUS_NON_INTEGERS = {
-        "float_entity_word": (("entities", 0, "word_indices", 0), 7.9, "word_indices value 7.9"),
-        "bool_entity_type": (("entities", 0, "type"), True, "type value True"),
-        "float_link_end": (("links",), [[0, 1.0]], "links value 1.0"),
+    # Where in a document record a value has the wrong type, the value put
+    # there, and the error. An index used to be truncated by int(), a page
+    # size or box coordinate read by float().
+    CORPUS_WRONG_TYPES = {
+        "float_entity_word": (("entities", 0, "word_indices", 0), 7.9,
+                              "word_indices value 7.9 is not an integer"),
+        "bool_entity_type": (("entities", 0, "type"), True, "type value True is not an integer"),
+        "float_link_end": (("links",), [[0, 1.0]], "links value 1.0 is not an integer"),
         "string_segment_index": (("segments", 0, "word_indices", 0), "7",
-                                 "word_indices value '7'"),
-        "float_gold_order_token": (("gold_order", 0), 0.5, "gold_order value 0.5"),
-        "float_order_token": (("order",), [0, 2.0], "order value 2.0"),
+                                 "word_indices value '7' is not an integer"),
+        "float_gold_order_token": (("gold_order", 0), 0.5,
+                                   "gold_order value 0.5 is not an integer"),
+        "float_order_token": (("order",), [0, 2.0], "order value 2.0 is not an integer"),
+        "string_page_width": (("page_width",), "612", "page_width value '612' is not a number"),
+        "bool_box_coordinate": (("segments", 0, "box", 0), True, "box value True is not a number"),
     }
 
     @pytest.mark.parametrize("damage", ["words_not_a_list", "text_not_a_string",
                                         "manifest_not_an_object", *MANIFEST_DAMAGE,
-                                        *CORPUS_NON_INTEGERS])
+                                        *CORPUS_WRONG_TYPES])
     def test_corrupt_corpus_is_a_validation_error(self, corpus_dir, capsys, damage):
         doc_path = corpus_dir / "doc-0000.json"
         manifest_path = corpus_dir / "manifest.json"
         rec = json.loads(doc_path.read_text())
         manifest = json.loads(manifest_path.read_text())
         message = self.MANIFEST_DAMAGE.get(damage, "")
-        if damage in self.CORPUS_NON_INTEGERS:
-            where, value, named = self.CORPUS_NON_INTEGERS[damage]
+        if damage in self.CORPUS_WRONG_TYPES:
+            where, value, problem = self.CORPUS_WRONG_TYPES[damage]
             target = rec
             for key in where[:-1]:
                 target = target[key]
             target[where[-1]] = value
-            message = f"{named} is not an integer"
+            message = f"doc-0000.json: {problem}"
         elif damage == "words_not_a_list":
             rec["words"] = 5
         elif damage == "text_not_a_string":
@@ -315,7 +321,7 @@ class TestCorruptInputs:
         assert run(["stats", "--corpus", corpus_dir]) == 1
         err = last_error(capsys)
         assert err["kind"] == "validation"
-        assert err["error"].startswith("cannot load corpus at ")
+        assert err["error"].startswith(f"cannot load corpus at {corpus_dir}: ")
         assert err["error"].endswith(message)
 
     @staticmethod
@@ -396,20 +402,24 @@ class TestCorruptInputs:
             assert err["error"].endswith(f"holds prediction id 'x', not {ids[1]!r}")
         assert not (tmp_path / "report").exists()
 
-    # Task, then the scored field's value with one value that is not an
-    # integer, and how the error names it. Each used to be truncated by int().
-    NON_INTEGERS = {
-        "ner_float_type": ("ner", [{"type": 1.7, "word_indices": [0]}], "type value 1.7"),
+    # Task, then the scored field's value with one value of the wrong type,
+    # and the error. An index used to be truncated by int(), a confidence
+    # read by float().
+    WRONG_TYPES = {
+        "ner_float_type": ("ner", [{"type": 1.7, "word_indices": [0]}],
+                           "type value 1.7 is not an integer"),
         "ner_bool_word": ("ner", [{"type": 0, "word_indices": [0, True]}],
-                          "word_indices value True"),
-        "el_float_link": ("el", [[0, 0.0]], "links value 0.0"),
-        "rop_string_token": ("rop", ["0"], "predicted_order value '0'"),
+                          "word_indices value True is not an integer"),
+        "el_float_link": ("el", [[0, 0.0]], "links value 0.0 is not an integer"),
+        "rop_string_token": ("rop", ["0"], "predicted_order value '0' is not an integer"),
+        "ner_string_confidence": ("ner", [{"type": 0, "word_indices": [0], "confidence": "0.5"}],
+                                  "confidence value '0.5' is not a number"),
     }
 
-    @pytest.mark.parametrize("damage", sorted(NON_INTEGERS))
+    @pytest.mark.parametrize("damage", sorted(WRONG_TYPES))
     def test_non_integer_prediction_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
                                                           damage):
-        task, value, named = self.NON_INTEGERS[damage]
+        task, value, problem = self.WRONG_TYPES[damage]
         field = cli_module._EVAL_FIELDS[task]
         docs = load_corpus(str(corpus_dir)).split("test")
         preds = tmp_path / "preds"
@@ -422,7 +432,7 @@ class TestCorruptInputs:
                     "--out", tmp_path / "report"]) == 1
         err = last_error(capsys)
         assert err["kind"] == "validation"
-        assert err["error"] == f"cannot load prediction {bad}: {named} is not an integer"
+        assert err["error"] == f"cannot load prediction {bad}: {problem}"
         assert not (tmp_path / "report").exists()
 
     # Task, then the scored field's value and the problem named, given the
@@ -626,6 +636,24 @@ class TestPipeline:
         assert report["entity"]["correct"] == correct < report["entity"]["predicted"]
         assert report["entity"]["correct"] < report["entity"]["gold"]
         assert report["word"]["gold"] == sum(len(words(d)) for d in docs)
+
+    def test_eval_reads_an_infinite_confidence(self, tmp_path, corpus_dir):
+        # ner_decode gives +inf to a path of +inf edges; decode writes it as Infinity.
+        docs = load_corpus(str(corpus_dir)).split("test")
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for doc in docs:
+            rec = {"id": doc.id, "entities": [
+                {"type": e.type_id, "word_indices": list(e.word_indices), "confidence": math.inf}
+                for e in doc.entities
+            ]}
+            (preds / f"{doc.id}.json").write_text(dumps_canonical(rec))
+        assert "Infinity" in (preds / f"{docs[0].id}.json").read_text()
+        report_dir = tmp_path / "report"
+        assert run(["eval", "--task", "ner", "--predictions", preds,
+                    "--corpus", corpus_dir, "--out", report_dir]) == 0
+        report = json.loads((report_dir / "report.json").read_text())
+        assert report["entity"]["correct"] == report["entity"]["gold"] > 0
 
     @pytest.mark.parametrize("task, field", [("ner", "entities"), ("bio", "entities"),
                                              ("el", "links"), ("rop", "predicted_order")])

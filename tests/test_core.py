@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,19 @@ class TestCorpusFormat:
         rec = document_to_record(doc)
         assert rec["gold_order"] == [6, 0, 1, 2, 3, 4, 5]
         assert document_from_record(rec) == doc
+
+    def test_real_values_read_as_floats(self):
+        # An int too large for a float reads as an infinity, which
+        # validate_document refuses.
+        rec = document_to_record(seven_word_doc())
+        rec["page_width"], rec["page_height"] = 612, 10**400
+        rec["words"][0]["box"] = [10, 10, 16, 20]
+        doc = document_from_record(rec)
+        assert type(doc.page_width) is float and doc.page_width == 612.0
+        assert doc.words[0].box == seven_word_doc().words[0].box
+        assert all(type(c) is float for c in doc.words[0].box.as_tuple())
+        assert doc.page_height == math.inf
+        assert validate_document(doc) == ["page_height must be positive and finite, got inf"]
 
     def test_corpus_save_load(self, tmp_path):
         docs = tuple(replace(seven_word_doc(), id=f"d{i}") for i in range(3))

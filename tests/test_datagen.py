@@ -1,14 +1,90 @@
 import itertools
 import re
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from tokenpath.core import ocr_order, validate_document
-from tokenpath.datagen import GenConfig, GenError, gen_corpus, shuffle_order
+from tokenpath.datagen import (
+    GenConfig, GenError, _column_split, _entity_texts, gen_corpus, shuffle_order, type_names,
+)
 from tokenpath.decode import ner_decode
 from tokenpath.labels import ner_grids
 from tokenpath.metrics import corpus_continuous_entity_rate
+
+
+@dataclass(frozen=True)
+class _Lexicon:
+    """Per-type pools. Continuation pools are indexed by position within the
+    entity (capped), the way real fields chain label -> unit -> value, so
+    consecutive-pair text patterns are informative."""
+
+    initial: tuple[str, ...]
+    cont_pools: tuple[tuple[str, ...], ...]
+    singleton: tuple[str, ...]
+
+    def sample_entity(self, k: int, rng) -> list[str]:
+        if k == 1:
+            return [str(rng.choice(self.singleton))]
+        texts = [str(rng.choice(self.initial))]
+        for j in range(1, k):
+            pool = self.cont_pools[min(j, len(self.cont_pools)) - 1]
+            texts.append(str(rng.choice(pool)))
+        return texts
+
+
+def _lexicons(names: Sequence[str]) -> list[_Lexicon]:
+    return [
+        _Lexicon(
+            initial=tuple(f"{n.upper()}:{i}" for i in range(6)),
+            cont_pools=tuple(
+                tuple(f"{n}-{s}{i}" for i in range(3)) for s in range(1, 4)
+            ),
+            singleton=tuple(f"#{n}{i}" for i in range(4)),
+        )
+        for n in names
+    ]
+
+
+def _reference_column_split(units) -> int:
+    """The loop ``_column_split`` replaced, kept as its reference; it read
+    ("filler", k) and ("entity", t, k, pattern) unit records."""
+    units = [("filler", k) if t is None else ("entity", t, k, p) for t, k, p in units]
+    counts = [u[1] if u[0] == "filler" else u[2] for u in units]
+    half = sum(counts) / 2
+    acc, split_at = 0, len(units)
+    for i, c in enumerate(counts):
+        acc += c
+        if acc >= half:
+            split_at = i + 1
+            break
+    return split_at
+
+
+class TestReferences:
+    """``_entity_texts`` and ``_column_split`` against the lexicon classes and
+    the loop they replaced: the same results and the same random draws, so
+    generated corpora keep their bytes."""
+
+    def test_entity_texts_match_the_lexicons(self):
+        names = type_names(12)
+        assert names[-1] == "field11"  # palette names and fieldN names
+        for name, lexicon in zip(names, _lexicons(names)):
+            for k in range(1, 10):
+                for seed in range(10):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert _entity_texts(name, k, rng) == lexicon.sample_entity(k, ref)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_column_split_matches_the_loop(self):
+        rng = np.random.default_rng(0)
+        for n_units in range(1, 13):
+            for _ in range(100):
+                units = [(None if rng.random() < 0.3 else int(rng.integers(3)),
+                          int(rng.integers(1, 9)), "flow") for _ in range(n_units)]
+                assert _column_split(units) == _reference_column_split(units)
 
 
 class TestGenConfig:
