@@ -32,6 +32,7 @@ from .core import (
     InputOrder,
     _annotation_problems,
     _index_problem,
+    _read_error,
     load_corpus,
     map_ordered,
     ocr_order,
@@ -271,7 +272,7 @@ def _load_predictions(directory: str, docs: Sequence[Document], field: str) -> l
             with open(path, "r", encoding="utf-8") as f:
                 pred = Prediction.from_record(json.load(f))
         except _MALFORMED as exc:
-            raise CliError(f"cannot load prediction {path}: {exc}") from exc
+            raise CliError(f"cannot load prediction {path}: {_read_error(exc)}") from exc
         if pred.doc_id != doc.id:
             raise CliError(
                 f"cannot load prediction {path}: holds prediction id {pred.doc_id!r}, "

@@ -11,6 +11,9 @@ flipped at ingestion (y -> page_height - y).
 
 All types are frozen dataclasses holding tuples, and every operation is a
 pure function, so documents can be processed concurrently without locking.
+Every type but ``Document`` and ``Corpus`` is also slotted: a record has no
+instance ``__dict__``, which keeps a corpus of per-word records small in
+memory.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ SEGMENT_BOX_SLACK = 2.0
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box. Invariant: x0 <= x1, y0 <= y1, all finite, >= 0."""
 
@@ -76,13 +79,13 @@ class BoundingBox:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     text: str
     box: BoundingBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A single-row OCR segment: word indices in left-to-right annotated order."""
 
@@ -90,7 +93,7 @@ class Segment:
     box: BoundingBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A typed token path: the order of ``word_indices`` is meaningful."""
 
@@ -101,7 +104,7 @@ class Entity:
         return (self.type_id, self.word_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputOrder:
     """A permutation of word indices; ``perm[v]`` is the word at position v."""
 
@@ -177,6 +180,12 @@ def _real(value, field: str) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _read_error(exc: Exception) -> str:
+    """The message of an error raised while reading a record; a ``KeyError``
+    is a missing key, which its bare ``str`` (the quoted key) does not say."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _index_problem(values, bound: int, what: str, distinct: bool = False) -> str | None:
@@ -446,7 +455,7 @@ def load_corpus(directory: str) -> Corpus:
         try:
             doc = load_document(os.path.join(directory, f"{i}.json"))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{i}.json: {exc}") from exc
+            raise ValueError(f"{i}.json: {_read_error(exc)}") from exc
         if doc.id != i:
             raise ValueError(f"{i}.json holds document id {doc.id!r}, not {i!r}")
         docs.append(doc)

@@ -31,7 +31,7 @@ class DecodeConfig:
         _integer(self.beam_size, "beam_size", minimum=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedEntity:
     type_id: int
     word_indices: tuple[int, ...]
@@ -209,7 +209,7 @@ def reorder(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     doc_id: str
     entities: tuple[DecodedEntity, ...] | None = None

@@ -402,9 +402,9 @@ class TestCorruptInputs:
             assert err["error"].endswith(f"holds prediction id 'x', not {ids[1]!r}")
         assert not (tmp_path / "report").exists()
 
-    # Task, then the scored field's value with one value of the wrong type,
-    # and the error. An index used to be truncated by int(), a confidence
-    # read by float().
+    # Task, then the scored field's value with one value of the wrong type
+    # or one key missing, and the error. An index used to be truncated by
+    # int(), a confidence read by float(), a missing key named bare.
     WRONG_TYPES = {
         "ner_float_type": ("ner", [{"type": 1.7, "word_indices": [0]}],
                            "type value 1.7 is not an integer"),
@@ -414,6 +414,7 @@ class TestCorruptInputs:
         "rop_string_token": ("rop", ["0"], "predicted_order value '0' is not an integer"),
         "ner_string_confidence": ("ner", [{"type": 0, "word_indices": [0], "confidence": "0.5"}],
                                   "confidence value '0.5' is not a number"),
+        "ner_missing_word_indices": ("ner", [{"type": 0}], "missing key 'word_indices'"),
     }
 
     @pytest.mark.parametrize("damage", sorted(WRONG_TYPES))

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +17,14 @@ from tokenpath.core import (
     document_from_record,
     document_to_record,
     load_corpus,
+    load_document,
     ocr_order,
     save_corpus,
+    save_document,
     validate_document,
 )
 from tokenpath.core import Corpus
+from tokenpath.decode import DecodedEntity, Prediction
 
 
 def make_doc(word_specs, segment_specs, entities=(), links=(), types=("q", "a")):
@@ -146,6 +152,51 @@ class TestValidateDocument:
         assert problem in validate_document(corrupt(seven_word_doc()))
 
 
+_NON_FINITE = "box has non-finite coordinates"
+_NEGATIVE = "box has negative coordinates"
+_INVERTED = "box is inverted (x0 > x1 or y0 > y1)"
+
+
+def _outside(*words):
+    return [f"segment 0 does not contain word {w} (slack 2.0)" for w in words]
+
+
+class TestBoxEdgeValues:
+    # An edge value, the box index it is put at (None swaps x0 and x1), and
+    # the seven-word document's problems, in order, with that value in word
+    # 0's box and then in segment 0's box. -0.0 and the float maximum are
+    # valid coordinates; an int too large for a float reads as an infinity.
+    EDGES = {
+        "nan": (0, math.nan, [f"word 0: {_NON_FINITE}", *_outside(0)],
+                [f"segment 0: {_NON_FINITE}", *_outside(0, 1, 2)]),
+        "plus_inf": (2, math.inf, [f"word 0: {_NON_FINITE}", *_outside(0)],
+                     [f"segment 0: {_NON_FINITE}"]),
+        "minus_inf": (0, -math.inf, [f"word 0: {_NON_FINITE}", *_outside(0)],
+                      [f"segment 0: {_NON_FINITE}"]),
+        "minus_zero": (1, -0.0, _outside(0), []),
+        "minus_one": (2, -1.0, [f"word 0: {_NEGATIVE}", f"word 0: {_INVERTED}"],
+                      [f"segment 0: {_NEGATIVE}", f"segment 0: {_INVERTED}", *_outside(0, 1, 2)]),
+        "inverted": (None, None, [f"word 0: {_INVERTED}"],
+                     [f"segment 0: {_INVERTED}", *_outside(0, 1, 2)]),
+        "float_max": (2, sys.float_info.max, _outside(0), []),
+        "int_too_large": (3, 10**400, [f"word 0: {_NON_FINITE}", *_outside(0)],
+                          [f"segment 0: {_NON_FINITE}"]),
+    }
+
+    @pytest.mark.parametrize("part", ["words", "segments"])
+    @pytest.mark.parametrize("edge", list(EDGES))
+    def test_edge_value_problems(self, edge, part):
+        index, value, word_problems, segment_problems = self.EDGES[edge]
+        rec = document_to_record(seven_word_doc())
+        box = rec[part][0]["box"]
+        if index is None:
+            box[0], box[2] = box[2], box[0]
+        else:
+            box[index] = value
+        expected = word_problems if part == "words" else segment_problems
+        assert validate_document(document_from_record(rec)) == expected
+
+
 class TestOcrOrder:
     def test_sorts_by_y_then_x(self):
         # segment A at (y0=10, x0=50), B at (y0=10, x0=5): B's words first
@@ -205,9 +256,10 @@ class TestCorpusFormat:
         assert rec["gold_order"] == [6, 0, 1, 2, 3, 4, 5]
         assert document_from_record(rec) == doc
 
-    def test_real_values_read_as_floats(self):
+    def test_real_values_read_as_floats(self, tmp_path):
         # An int too large for a float reads as an infinity, which
-        # validate_document refuses.
+        # validate_document refuses. The all-int box is written back as
+        # floats, and saved, loaded and saved again it keeps its bytes.
         rec = document_to_record(seven_word_doc())
         rec["page_width"], rec["page_height"] = 612, 10**400
         rec["words"][0]["box"] = [10, 10, 16, 20]
@@ -217,6 +269,13 @@ class TestCorpusFormat:
         assert all(type(c) is float for c in doc.words[0].box.as_tuple())
         assert doc.page_height == math.inf
         assert validate_document(doc) == ["page_height must be positive and finite, got inf"]
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        save_document(doc, first)
+        save_document(load_document(first), second)
+        with open(first, "rb") as f, open(second, "rb") as g:
+            written = f.read()
+            assert written == g.read()
+        assert b'"box":[10.0,10.0,16.0,20.0]' in written
 
     def test_corpus_save_load(self, tmp_path):
         docs = tuple(replace(seven_word_doc(), id=f"d{i}") for i in range(3))
@@ -233,3 +292,28 @@ class TestCorpusFormat:
         save_corpus(Corpus(docs, {"train": ("d0", "d1")}), str(tmp_path / "c"))
         with pytest.raises(ValueError, match="inconsistent entity type registries across corpus"):
             load_corpus(str(tmp_path / "c"))
+
+    def test_load_names_a_missing_key(self, tmp_path):
+        save_corpus(Corpus((replace(seven_word_doc(), id="d0"),), {"train": ("d0",)}),
+                    str(tmp_path / "c"))
+        path = tmp_path / "c" / "d0.json"
+        rec = json.loads(path.read_text())
+        del rec["words"]
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=r"^d0\.json: missing key 'words'$"):
+            load_corpus(str(tmp_path / "c"))
+
+
+# One instance of each slotted record: none carries an instance __dict__,
+# so a corpus holds no per-word or per-segment dict.
+_BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
+SLOTTED_RECORDS = [_BOX, Word("a", _BOX), Segment((0,), _BOX), Entity(0, (0,)),
+                   InputOrder((0,)), DecodedEntity(0, (0,), 0.5), Prediction("d")]
+
+
+@pytest.mark.parametrize("record", SLOTTED_RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_slotted_and_frozen(record):
+    assert not hasattr(record, "__dict__")
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
