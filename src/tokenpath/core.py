@@ -349,14 +349,21 @@ def _links_from_record(values) -> tuple[tuple[int, int], ...]:
     return tuple((head, tail) for head, tail in (_indices(l, "links") for l in values))
 
 
+def _box_values(vals) -> list[float]:
+    # An exact float skips the call, as in ``_indices``.
+    return [v if type(v) is float else _real(v, "box") for v in vals]
+
+
 def document_to_record(doc: Document) -> dict:
+    # Reals are written as the floats they load as, so a document built with
+    # ints keeps its bytes through a load.
     rec: dict = {
         "id": doc.id,
-        "page_width": doc.page_width,
-        "page_height": doc.page_height,
-        "words": [{"text": w.text, "box": list(w.box.as_tuple())} for w in doc.words],
+        "page_width": _real(doc.page_width, "page_width"),
+        "page_height": _real(doc.page_height, "page_height"),
+        "words": [{"text": w.text, "box": _box_values(w.box.as_tuple())} for w in doc.words],
         "segments": [
-            {"box": list(s.box.as_tuple()), "word_indices": list(s.word_indices)}
+            {"box": _box_values(s.box.as_tuple()), "word_indices": list(s.word_indices)}
             for s in doc.segments
         ],
         "entity_types": list(doc.entity_types),
@@ -372,8 +379,7 @@ def document_to_record(doc: Document) -> dict:
 
 def document_from_record(rec: Mapping) -> Document:
     def box(vals) -> BoundingBox:
-        # An exact float skips the call, as in ``_indices``.
-        x0, y0, x1, y1 = (v if type(v) is float else _real(v, "box") for v in vals)
+        x0, y0, x1, y1 = _box_values(vals)
         return BoundingBox(x0, y0, x1, y1)
 
     return Document(

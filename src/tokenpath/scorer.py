@@ -5,13 +5,15 @@ mode and checked against central finite differences in the test suite.
 
 Indexing convention: hidden state row i always belongs to word i of the
 document, never to input position i. For the grid tasks (ner, el, rop) the
-input order enters the model only through the 1D positional features (the
-rank of each word under the order), so with ``use_1d_position="none"`` the
-computation literally never touches the order. Score grids inherit the
-convention: ``scores[t, i, j]`` is the logit for word i linking to word j
-under relation type t. A view of the grid in input-position space, when
-needed, is just a row/column gather. The BIO baseline is a sequence labeler
-and reads the order by construction: each word's tag logits also see its
+input order enters the model only through the 1D positional feature, so with
+``use_1d_position="none"`` the computation literally never touches the
+order. ``"global"`` reads each word's rank in the order; ``"local"`` reads
+its rank inside its segment, as LayoutMask does, which no reordering of
+whole segments moves. Score grids inherit the convention:
+``scores[t, i, j]`` is the logit for word i linking to word j under
+relation type t. A view of the grid in input-position space, when needed,
+is just a row/column gather. The BIO baseline is a sequence labeler and
+reads the order by construction: each word's tag logits also see its
 predecessor and successor along the input order.
 
 The encoder itself is a per-word MLP over text + layout embeddings, with
@@ -48,12 +50,8 @@ N_BOX_FEATURES = 8 + 2 * 4 * len(_FREQS)
 
 TASKS = ("ner", "el", "rop", "bio")
 
-# Each 1D position mode's tables: (array name, rank kind of _rank_indices).
-_1D_TABLES = {
-    "none": (),
-    "global": (("pos1d", "global"),),
-    "local": (("pos1d_seg", "seg"), ("pos1d_word", "word")),
-}
+# Each 1D position mode's table, if any (see the module docstring).
+_1D_TABLES = {"none": None, "global": "pos1d", "local": "pos1d_word"}
 _1D_MODES = tuple(_1D_TABLES)
 _2D_MODES = ("word", "segment")
 
@@ -121,8 +119,9 @@ def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
         "tok_emb": ((config.vocab_buckets, d), 0.5),
         "pos2d_w": ((N_BOX_FEATURES, d), 0.5 / np.sqrt(N_BOX_FEATURES)),
     }
-    for name, _ in _1D_TABLES[config.use_1d_position]:
-        table[name] = ((MAX_SEQUENCE, d), 0.3)
+    pos1d = _1D_TABLES[config.use_1d_position]
+    if pos1d:
+        table[pos1d] = ((MAX_SEQUENCE, d), 0.3)
     for l in range(config.mlp_layers):
         table[f"enc_w{l}"] = ((d, d), w)
         table[f"enc_b{l}"] = ((d,), 0.0)
@@ -198,23 +197,22 @@ def featurize(doc: Document, config: EncoderConfig) -> DocFeatures:
     return DocFeatures(ids=ids, phi=box_features(boxes, doc.page_width, doc.page_height), seg_of=seg_of)
 
 
-def _rank_indices(feats: DocFeatures, order: InputOrder) -> dict[str, np.ndarray]:
-    """1D position indices per word (word-indexed, derived from the order)."""
-    n = len(order.perm)
-    inv = np.asarray(order.inverse())
-    out = {"global": inv}
-    seg_at_pos = feats.seg_of[np.asarray(order.perm)]
-    block = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        block[1:] = np.cumsum(seg_at_pos[1:] != seg_at_pos[:-1])
-    within = np.arange(n) - np.concatenate(([0], np.flatnonzero(np.diff(block))+1))[block]
-    seg_rank = np.zeros(n, dtype=np.int64)
-    word_rank = np.zeros(n, dtype=np.int64)
-    seg_rank[np.asarray(order.perm)] = block
-    word_rank[np.asarray(order.perm)] = within
-    out["seg"] = seg_rank
-    out["word"] = word_rank
-    return out
+def _rank_indices(feats: Sequence[DocFeatures], orders: Sequence[InputOrder], mode: str):
+    """The 1D position index of each word of the documents stacked in order:
+    its rank along its document's order for "global", else its rank inside
+    its run of consecutive same-segment words along that order."""
+    sizes = [len(f.ids) for f in feats]
+    starts = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    # Stacked position p holds stacked word perm[p]. A run starts at each
+    # document's first position and, for "local", where the segment changes.
+    perm = np.concatenate([np.asarray(o.perm, dtype=np.int64) for o in orders]) + starts
+    first = np.diff(starts, prepend=-1) != 0
+    if mode == "local":
+        first |= np.diff(np.concatenate([f.seg_of for f in feats])[perm], prepend=-1) != 0
+    run_starts = np.flatnonzero(first)
+    idx = np.empty_like(perm)
+    idx[perm] = np.arange(len(perm)) - np.repeat(run_starts, np.diff(run_starts, append=len(perm)))
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +227,17 @@ def _rank_indices(feats: DocFeatures, order: InputOrder) -> dict[str, np.ndarray
 
 
 def _pos1d_rows(params: ModelParams, feats: Sequence[DocFeatures], orders: Sequence[InputOrder]):
-    """(table name, row index per stacked word) for each 1D position table
-    of the config; empty for an order-free config."""
-    tables = _1D_TABLES[params.config.use_1d_position]
-    if not tables:
-        return []
-    ranks = []
-    for f, order in zip(feats, orders):
-        n = len(order.perm)
-        if n > MAX_SEQUENCE:
-            raise ValueError(f"document has {n} words, max sequence is {MAX_SEQUENCE}")
-        ranks.append(_rank_indices(f, order))
-    return [(name, np.concatenate([r[kind] for r in ranks])) for name, kind in tables]
+    """(table name, row index per stacked word) of the config's 1D position
+    table; None for an order-free config."""
+    mode = params.config.use_1d_position
+    if _1D_TABLES[mode] is None:
+        return None
+    idx = _rank_indices(feats, orders, mode)
+    top = int(idx.max(initial=-1))
+    if top >= MAX_SEQUENCE:
+        raise ValueError(f"{mode} 1D position {top} is past the {MAX_SEQUENCE}-row "
+                         f"table: max sequence is {MAX_SEQUENCE}")
+    return _1D_TABLES[mode], idx
 
 
 def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
@@ -248,8 +245,9 @@ def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
 
     Deterministic: the toy encoder carries no internal noise, regularization
     noise lives in the output heads (see multi-dropout in the loss functions).
-    Only the 1D position tables cap the length: with 1D positions on, a
-    document of more than ``MAX_SEQUENCE`` words raises ``ValueError``.
+    Only the 1D position table caps the length: a rank of ``MAX_SEQUENCE``
+    or more raises ``ValueError``, so "global" takes documents of at most
+    that many words and "local" segments of at most that many.
     """
     h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
     return h
@@ -264,12 +262,13 @@ def _encoder_forward(
     a = params.arrays
     ids = np.concatenate([f.ids for f in feats])
     phi = np.concatenate([f.phi for f in feats])
-    rows = _pos1d_rows(params, feats, orders)
+    pos1d = _pos1d_rows(params, feats, orders)
     layout = phi @ a["pos2d_w"]
     x = a["tok_emb"][ids]
     x += layout
-    if rows:
-        p1 = sum(a[name][idx] for name, idx in rows)
+    if pos1d:
+        name, idx = pos1d
+        p1 = a[name][idx]
         x += p1
     acts = [x]
     for l in range(cfg.mlp_layers):
@@ -279,9 +278,9 @@ def _encoder_forward(
     # The layout projection also skips the MLP, so the bilinear heads see
     # the box sinusoids linearly and can pair them into offset detectors.
     h = acts[-1] + layout
-    if cfg.positional_residual and rows:
+    if cfg.positional_residual and pos1d:
         h += p1
-    return h, (ids, phi, acts, rows)
+    return h, (ids, phi, acts, pos1d)
 
 
 def _head_order(n_relations: int):
@@ -584,7 +583,7 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
     d, n_rel = cfg.hidden_dim, params.n_relations
     n_copies = cfg.multi_dropout_k if rng is not None else 1
     starts = np.cumsum([0] + [len(inst.features.ids) for inst in instances])
-    h, (ids, phi, acts, rows) = _encoder_forward(
+    h, (ids, phi, acts, pos1d) = _encoder_forward(
         [inst.features for inst in instances], [inst.order for inst in instances], params)
     h_head, offsets = _head_input(h, starts, params)
     hc_all = h_head
@@ -621,7 +620,7 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
         # Gradients reaching the embedding rows, and the 1D table rows (the
         # same array unless the 1D rows also feed h as a residual).
         dx_all = np.empty_like(h)
-        d1_all = np.empty_like(h) if cfg.positional_residual and rows else dx_all
+        d1_all = np.empty_like(h) if cfg.positional_residual and pos1d else dx_all
 
     losses = []
     for i, inst in enumerate(instances):
@@ -687,8 +686,8 @@ def _run_group(params, instances, rng, grads, head_grads, w_t):
 
     if grads is not None:
         np.add.at(grads["tok_emb"], ids, dx_all)
-        for name, idx in rows:
-            np.add.at(grads[name], idx, d1_all)
+        if pos1d:
+            np.add.at(grads[pos1d[0]], pos1d[1], d1_all)
     return losses
 
 

@@ -2,7 +2,7 @@
 
 Plain first-order updates keep the trainer dependency-free and exactly
 reproducible: given (seed, config, corpus, hyper) the whole trajectory is
-deterministic, including which documents get shuffled input orders.
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import Document, InputOrder, _integer, _number, ocr_order
-from .datagen import shuffle_order
 from .scorer import (
     EncoderConfig,
     ModelParams,
@@ -31,7 +30,6 @@ class Hyper:
     batch_size: int = 8
     warmup_fraction: float = 0.01
     weight_decay: float = 1e-5
-    shuffle_proportion: float = 0.0
     # Optional global gradient-norm cap. Off by default; the pair-scoring
     # loss concentrates its gradient on a handful of cells, and with a
     # constant learning rate one hard batch late in training can otherwise
@@ -44,7 +42,6 @@ class Hyper:
         _integer(self.batch_size, "batch_size", minimum=1)
         _number(self.warmup_fraction, "warmup_fraction", 0, 1)
         _number(self.weight_decay, "weight_decay", 0, ends="[)")
-        _number(self.shuffle_proportion, "shuffle_proportion", 0, 1)
         if self.max_grad_norm is not None:
             _number(self.max_grad_norm, "max_grad_norm", 0, ends="()")
 
@@ -71,10 +68,7 @@ def train(
 
     Each document is presented under its stored ``input_order`` if it has
     one (e.g. written by ``tokenpath reorder``), else OCR order, as at
-    decoding. Each epoch a fraction ``hyper.shuffle_proportion`` of
-    documents is presented under a random segment-shuffled input order
-    instead; an order-free config is provably unaffected, which is the
-    whole trick. Divergence (non-finite loss) aborts and returns the
+    decoding. Divergence (non-finite loss) aborts and returns the
     parameters from before the poisoning update.
     """
     if not docs:
@@ -94,7 +88,8 @@ def train(
     ]
     base = [make_instance(d, base_orders[i], task, config, feats[i]) for i, d in enumerate(docs)]
 
-    batch_rng, shuf_rng, drop_rng = (
+    # Three seed streams: batch order, one unused, dropout masks.
+    batch_rng, _, drop_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
     )
     warmup_steps = max(1, int(round(hyper.steps * hyper.warmup_fraction)))
@@ -104,16 +99,11 @@ def train(
     spare = params.copy()
     while step < hyper.steps:
         epoch_docs = batch_rng.permutation(len(docs))
-        epoch = list(base)
-        for i in range(len(docs)):
-            if shuf_rng.random() < hyper.shuffle_proportion:
-                order = shuffle_order(docs[i], int(shuf_rng.integers(2**31)))
-                epoch[i] = make_instance(docs[i], order, task, config, feats[i])
         for lo in range(0, len(epoch_docs), hyper.batch_size):
             if step >= hyper.steps:
                 break
             batch = epoch_docs[lo : lo + hyper.batch_size]
-            instances = [epoch[i] for i in batch]
+            instances = [base[i] for i in batch]
             try:
                 loss, grads = task_loss_and_grad(
                     params, instances, train_mode=True, rng=drop_rng

@@ -161,7 +161,7 @@ def test_criterion_5_loss_closed_form():
 # ---------------------------------------------------------------------------
 
 GRID_CONFIG = EncoderConfig(
-    hidden_dim=64, use_1d_position="none", use_2d_position="word",
+    hidden_dim=64, use_1d_position="local", use_2d_position="segment",
     dropout_rate=0.0, multi_dropout_k=1, seed=0,
 )
 GRID_HYPER = Hyper(lr=0.12, steps=4500, batch_size=64, warmup_fraction=0.1,
@@ -296,8 +296,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
                 "val_fraction": 0.0, "test_fraction": 0.25, "seed": 3},
         "encoder": {"hidden_dim": 16, "vocab_buckets": 128, "dropout_rate": 0.1,
                     "multi_dropout_k": 2, "seed": 1},
-        "train": {"lr": 0.05, "steps": 40, "batch_size": 4,
-                  "shuffle_proportion": 0.5},
+        "train": {"lr": 0.05, "steps": 40, "batch_size": 4},
     }))
 
     def pipeline(root):

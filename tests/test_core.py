@@ -16,6 +16,7 @@ from tokenpath.core import (
     Word,
     document_from_record,
     document_to_record,
+    dumps_canonical,
     load_corpus,
     load_document,
     ocr_order,
@@ -248,6 +249,17 @@ class TestCorpusFormat:
         doc = seven_word_doc()
         rec = document_to_record(doc)
         assert document_from_record(rec) == doc
+
+    def test_int_document_keeps_its_bytes_through_a_load(self):
+        # seven_word_doc is built with int page sizes and box coordinates;
+        # its record holds them as floats, as one read back does.
+        doc = seven_word_doc()
+        assert type(doc.page_width) is int and type(doc.words[0].box.x0) is int
+        written = dumps_canonical(document_to_record(doc))
+        assert '"page_width":600.0' in written and '"box":[10.0,10.0,16.0,20.0]' in written
+        reread = document_from_record(json.loads(written))
+        assert reread == doc
+        assert dumps_canonical(document_to_record(reread)) == written
 
     def test_order_keys_round_trip(self):
         doc = replace(seven_word_doc(), gold_order=(6, 0, 1, 2, 3, 4, 5),

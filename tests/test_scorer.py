@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import asdict
@@ -26,7 +27,7 @@ from tokenpath.scorer import (
     task_loss_and_grad,
 )
 
-from .test_core import make_doc
+from .test_core import make_doc, seven_word_doc
 
 
 # Parameter vectors for the finite-difference and bitwise gradient checks:
@@ -53,12 +54,14 @@ def small_corpus(n_docs=4, seed=1, **kw):
     return gen_corpus(GenConfig(doc_count=n_docs, words_per_doc=(6, 10), seed=seed, **kw)).documents
 
 
-def long_doc(n):
-    """One segment of n words on rows of 60."""
+def long_doc(n, segment_words=None):
+    """n words on rows of 60, in one segment or in segments of
+    ``segment_words`` consecutive words."""
     words = [(f"w{i}", float(8 * (i % 60)), float(14 * (i // 60)),
               float(8 * (i % 60) + 6), float(14 * (i // 60) + 12))
              for i in range(n)]
-    return make_doc(words, [list(range(n))])
+    size = segment_words or n
+    return make_doc(words, [list(range(lo, min(lo + size, n))) for lo in range(0, n, size)])
 
 
 def small_config(**kw):
@@ -143,11 +146,26 @@ class TestEncode:
         assert np.array_equal(h1, h2)
 
     def test_max_sequence_enforced(self):
-        doc = long_doc(MAX_SEQUENCE + 1)
-        cfg = small_config(use_1d_position="global")
-        params = init_params(cfg, "ner", doc.entity_types)
-        with pytest.raises(ValueError, match="max sequence"):
-            encode(doc, InputOrder(tuple(range(doc.n_words))), params)
+        # One segment of 512 words fills the table and the 513th word's rank
+        # is refused: in the document for "global", in the segment for
+        # "local".
+        fits, doc = long_doc(MAX_SEQUENCE), long_doc(MAX_SEQUENCE + 1)
+        for mode in ("global", "local"):
+            params = init_params(small_config(use_1d_position=mode), "ner", doc.entity_types)
+            assert encode(fits, ocr_order(fits), params).shape == (MAX_SEQUENCE, 8)
+            with pytest.raises(ValueError, match="max sequence"):
+                encode(doc, InputOrder(tuple(range(doc.n_words))), params)
+
+    @pytest.mark.parametrize("task", ["ner", "rop"])
+    def test_local_positions_cap_segments_not_documents(self, task):
+        doc = long_doc(600, segment_words=60)
+        params = init_params(small_config(use_1d_position="local"), task, doc.entity_types)
+        assert encode(doc, ocr_order(doc), params).shape == (600, params.config.hidden_dim)
+        pred = decode_document(doc, params)
+        if task == "rop":
+            assert sorted(pred.predicted_order) == list(range(600))
+        else:
+            assert all(0 <= w < 600 for e in pred.entities for w in e.word_indices)
 
     @pytest.mark.parametrize("task", ["ner", "rop"])
     def test_order_free_config_has_no_length_cap(self, task):
@@ -213,6 +231,39 @@ class TestGlobalPointerScores:
             s_pos = s_again[:, idx[:, None], idx[None, :]]
             expected = s_word[:, idx[:, None], idx[None, :]]
             assert np.array_equal(s_pos, expected)
+
+
+class TestLocalPositions:
+    def test_rank_inside_each_run_of_a_segment(self):
+        doc = seven_word_doc()  # segments [0, 1, 2], [3, 4, 5], [6]
+        feats = featurize(doc, small_config())
+        ranks = scorer_module._rank_indices
+        assert ranks([feats], [ocr_order(doc)], "local").tolist() == [0, 1, 2, 0, 1, 2, 0]
+        # A segment split by the order restarts its count in each run.
+        order = InputOrder((0, 3, 1, 2, 6, 5, 4))
+        assert ranks([feats], [order], "local").tolist() == [0, 0, 1, 0, 1, 0, 0]
+        assert ranks([feats], [order], "global").tolist() == [0, 2, 3, 1, 6, 5, 4]
+        # Stacked documents count from 0 each, also when one's last segment
+        # is the next one's first.
+        two = ranks([feats, feats], [order, InputOrder((3, 4, 5, 0, 1, 2, 6))], "local")
+        assert two.tolist() == [0, 0, 1, 0, 1, 0, 0] + [0, 1, 2, 0, 1, 2, 0]
+
+    @pytest.mark.parametrize("task", ["ner", "rop"])
+    def test_local_segment_grids_ignore_segment_order(self, task):
+        doc = small_corpus()[2]
+        assert len(doc.segments) == 4 and max(len(s.word_indices) for s in doc.segments) > 1
+        cfg = small_config(use_1d_position="local", use_2d_position="segment")
+        params = init_params(cfg, task, doc.entity_types)
+        base = score_document(doc, ocr_order(doc), params)
+        for segs in itertools.permutations(doc.segments):
+            order = InputOrder(tuple(w for seg in segs for w in seg.word_indices))
+            assert np.array_equal(score_document(doc, order, params), base)
+        # The limit: swapping two words inside one segment moves their ranks.
+        words = next(s.word_indices for s in doc.segments if len(s.word_indices) > 1)
+        perm = list(ocr_order(doc).perm)
+        i, j = perm.index(words[0]), perm.index(words[1])
+        perm[i], perm[j] = perm[j], perm[i]
+        assert not np.array_equal(score_document(doc, InputOrder(tuple(perm)), params), base)
 
 
 def _reference_log1p_sumexp(v: np.ndarray) -> float:
@@ -605,6 +656,17 @@ class TestCheckpoint:
         load_checkpoint(str(path))
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="m.ckpt: trailing bytes after arrays$"):
+            load_checkpoint(str(path))
+
+    def test_local_checkpoint_with_a_segment_rank_table_refused(self, tmp_path):
+        # Earlier "local" models also had a segment-rank table, pos1d_seg,
+        # under the same magic; the array-table check refuses the extra array.
+        params = init_params(small_config(use_1d_position="local"), "ner", ("q", "a"))
+        params.arrays["pos1d_seg"] = np.zeros((MAX_SEQUENCE, 8))
+        path = tmp_path / "old-local.ckpt"
+        save_checkpoint(params, str(path))
+        with pytest.raises(ValueError, match=re.escape(
+                "array table does not match a 'ner' model: missing [], extra ['pos1d_seg']")):
             load_checkpoint(str(path))
 
     def test_magic_guard(self, tmp_path):

@@ -29,8 +29,6 @@ class TestHyper:
             Hyper(lr=0.0)
         with pytest.raises(ValueError):
             Hyper(batch_size=0)
-        with pytest.raises(ValueError):
-            Hyper(shuffle_proportion=1.5)
 
 
 class TestTrain:
@@ -57,31 +55,11 @@ class TestTrain:
     def test_deterministic_trajectory(self):
         docs = toy_docs(6)
         cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=5)
-        h = Hyper(lr=0.05, steps=30, batch_size=4, shuffle_proportion=0.5)
+        h = Hyper(lr=0.05, steps=30, batch_size=4)
         p1, l1 = train(docs, "ner", cfg, h)
         p2, l2 = train(docs, "ner", cfg, h)
         assert l1.losses == l2.losses
         assert np.array_equal(params_to_vector(p1), params_to_vector(p2))
-
-    def test_shuffle_proportion_irrelevant_for_order_free_model(self):
-        docs = toy_docs(6)
-        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64,
-                            use_1d_position="none", positional_residual=False, seed=5)
-        p0, _ = train(docs, "ner", cfg, Hyper(lr=0.05, steps=40, batch_size=4,
-                                              shuffle_proportion=0.0))
-        p1, _ = train(docs, "ner", cfg, Hyper(lr=0.05, steps=40, batch_size=4,
-                                              shuffle_proportion=1.0))
-        assert np.array_equal(params_to_vector(p0), params_to_vector(p1))
-
-    def test_shuffle_proportion_matters_with_1d_positions(self):
-        docs = toy_docs(6)
-        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64,
-                            use_1d_position="global", seed=5)
-        p0, _ = train(docs, "ner", cfg, Hyper(lr=0.05, steps=40, batch_size=4,
-                                              shuffle_proportion=0.0))
-        p1, _ = train(docs, "ner", cfg, Hyper(lr=0.05, steps=40, batch_size=4,
-                                              shuffle_proportion=1.0))
-        assert not np.array_equal(params_to_vector(p0), params_to_vector(p1))
 
     def test_divergence_aborts_with_last_good_params(self):
         docs = toy_docs(6)
