@@ -218,12 +218,12 @@ def _rank_indices(feats: Sequence[DocFeatures], orders: Sequence[InputOrder], mo
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
-# Training runs the encoder and the head projections on the rows of several
-# documents at once, stacked in document order. They are row-wise products
-# against untransposed weights, so each row gets the bits it would get alone
-# (one exception: numpy multiplies a lone row by gemv, not gemm, so a
-# one-word document may differ in the last bit). Products against transposed
-# weights and every sum over rows stay per document in the backward pass.
+# Training stacks the rows of several documents, in document order, and runs
+# the encoder, the head projections and their backward products once on the
+# stack. Only the pair-score products and their gradients run per document,
+# since each document's grid has its own size. Sums over rows then run in
+# another order than for a document alone, so a batch gives the mean of its
+# documents' losses and gradients up to float64 rounding, not bit for bit.
 
 
 def _pos1d_rows(params: ModelParams, feats: Sequence[DocFeatures], orders: Sequence[InputOrder]):
@@ -329,14 +329,16 @@ def _head_input(h: np.ndarray, offsets: np.ndarray, params: ModelParams):
     return h, offsets
 
 
-def _bio_logits(hc: np.ndarray, perm: np.ndarray, a: Mapping[str, np.ndarray]):
-    """Tag logits per word from the word and its predecessor and successor
-    along the input order, plus those neighbour rows (word-indexed, zero
-    where the word is first or last) for the backward pass."""
+def _bio_logits(hc: np.ndarray, before: np.ndarray, after: np.ndarray,
+                a: Mapping[str, np.ndarray]):
+    """Tag logits per row from the row and its predecessor and successor
+    along the input order, where row ``before[p]`` directly precedes row
+    ``after[p]``; plus those neighbour rows (zero where a row has none) for
+    the backward pass."""
     prev = np.zeros_like(hc)
     nxt = np.zeros_like(hc)
-    prev[perm[1:]] = hc[perm[:-1]]
-    nxt[perm[:-1]] = hc[perm[1:]]
+    prev[after] = hc[before]
+    nxt[before] = hc[after]
     logits = hc @ a["cls_w"] + prev @ a["cls_wp"] + nxt @ a["cls_wn"] + a["cls_b"]
     return logits, prev, nxt
 
@@ -351,7 +353,8 @@ def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.
     """
     h = encode(doc, order, params)
     if params.task == "bio":
-        return _bio_logits(h, np.asarray(order.perm), params.arrays)[0]
+        perm = np.asarray(order.perm)
+        return _bio_logits(h, perm[:-1], perm[1:], params.arrays)[0]
     rows, _ = _head_input(h, np.array([0, len(h)]), params)
     scores = global_pointer_scores(rows, params)
     return scores[0] if params.task == "rop" else scores
@@ -375,7 +378,7 @@ def grid_loss(scores: np.ndarray, grid_labels: np.ndarray) -> float:
     cells = np.full(n_types, scores.size // max(1, n_types))
     terms, _ = _flat_grid_loss(scores.ravel(), grid_labels.astype(bool).ravel(), cells,
                                want_grad=False)
-    return float(_sum_runs(terms, 1)[0])
+    return float(terms.sum())
 
 
 def _flat_grid_loss(s, pos, cells, want_grad=True):
@@ -384,11 +387,9 @@ def _flat_grid_loss(s, pos, cells, want_grad=True):
     ``s`` holds consecutive grids of ``cells[g]`` raveled scores each and
     ``pos`` their targets. Returns grid g's log(1 + sum_neg e^s) +
     log(1 + sum_pos e^-s) and the gradient w.r.t. ``s`` (None unless
-    ``want_grad``). The maxima, exponentials and logarithms run once over
-    every grid; each sum of exponentials is one ``sum`` per grid and sign,
-    as for a grid alone (``np.add.reduceat`` sums in another order), so
-    every grid gets the bits it gets on its own. A sign with no cells
-    contributes 0.0.
+    ``want_grad``). Every step runs once over all grids: each maximum and
+    each sum of exponentials is one ``reduceat`` over the non-empty runs of
+    one grid and sign. A sign with no cells contributes 0.0.
     """
     neg = ~pos
     # Segment g holds grid g's negative scores, segment G + g its negated
@@ -400,44 +401,33 @@ def _flat_grid_loss(s, pos, cells, want_grad=True):
     bounds = np.concatenate(([0], np.cumsum(lengths)))
     # log(1 + sum e^v) = top + log(e^-top + sum e^(v - top)), top = max(0, max v)
     top = np.zeros(2 * n_grids)
+    sums = np.zeros(2 * n_grids)
     full = np.flatnonzero(lengths)
     if len(full):
-        top[full] = np.maximum.reduceat(v, bounds[full])
-    np.maximum(top, 0.0, out=top)
-    e = np.exp(v - np.repeat(top, lengths))
-    b = bounds.tolist()
-    sums = np.array([np.add.reduce(e[lo:hi]) for lo, hi in zip(b, b[1:])])
+        top[full] = np.maximum(np.maximum.reduceat(v, bounds[full]), 0.0)
+        sums[full] = np.add.reduceat(np.exp(v - np.repeat(top, lengths)), bounds[full])
     lse = top + np.log(np.exp(-top) + sums)
     terms = lse[:n_grids] + lse[n_grids:]
     if not want_grad:
         return terms, None
     g = np.exp(v - np.repeat(lse, lengths))
     ds = np.empty_like(s)
-    ds[neg] = g[: b[n_grids]]
-    ds[pos] = -g[b[n_grids] :]
+    ds[neg] = g[: bounds[n_grids]]
+    ds[pos] = -g[bounds[n_grids] :]
     return terms, ds
 
 
-def _sum_runs(x, rows):
-    """Sums of ``x`` split into ``rows`` consecutive runs of equal length,
-    each added left to right from 0.0, as a Python loop would."""
-    total = np.zeros(rows)
-    for col in x.reshape(rows, -1).T:
-        total += col
-    return total
-
-
-def _softmax_ce_grad(logits: np.ndarray, targets: np.ndarray):
-    """Mean cross-entropy over rows; returns (loss, dlogits)."""
+def _softmax_ce_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
+    """Each row's cross-entropy times its weight, and the gradient of their
+    sum w.r.t. the logits."""
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    sm = ez / ez.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    rows = np.arange(n)
-    loss = -float(np.mean(z[rows, targets] - np.log(ez.sum(axis=1))))
-    d = sm
+    total = ez.sum(axis=1)
+    rows = np.arange(len(logits))
+    d = ez / total[:, None]
     d[rows, targets] -= 1.0
-    return loss, d / n
+    d *= weights[:, None]
+    return weights * (np.log(total) - z[rows, targets]), d
 
 
 # ---------------------------------------------------------------------------
@@ -518,28 +508,14 @@ def _run_batch(params, instances, train_mode, rng, want_grad):
     use_masks = train_mode and params.config.dropout_rate > 0.0
     if use_masks and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
-    # Every pair-head gradient of the batch in one array, columns in
-    # _head_order and the bias gradients in a last row; the backward pass
-    # reads the head weights as one (2T, d, d) stack, transposed.
-    d, n_rel = params.config.hidden_dim, params.n_relations
-    head_grads = w_t = None
-    if want_grad and n_rel:
-        head_grads = np.zeros((d + 1, 2 * n_rel * d))
-        w = [params.arrays[f"{p}_w{t}"] for p, t in _head_order(n_rel)]
-        w_t = np.stack(w).transpose(0, 2, 1)
     total = 0.0
     # Divergence shows up as inf/nan loss and is reported via the exception;
     # the intermediate overflow warnings are just noise on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
         for group in _groups(instances):
-            for loss in _run_group(params, group, rng if use_masks else None,
-                                   grads, head_grads, w_t):
+            for loss in _run_group(params, group, rng if use_masks else None, grads):
                 total += loss
     scale = 1.0 / max(1, len(instances))
-    if head_grads is not None:
-        for j, (p, t) in enumerate(_head_order(n_rel)):
-            grads[f"{p}_w{t}"][...] = head_grads[:d, j * d : (j + 1) * d]
-            grads[f"{p}_b{t}"][...] = head_grads[d, j * d : (j + 1) * d]
     if want_grad:
         for g in grads.values():
             g *= scale
@@ -564,131 +540,113 @@ def _groups(instances):
         yield group
 
 
-def _run_group(params, instances, rng, grads, head_grads, w_t):
+def _run_group(params, instances, rng, grads):
     """Loss of each instance, in order; accumulates their gradient into
-    ``grads`` (pair-head weights and biases into ``head_grads``, reading
-    the transposed head weights ``w_t``) unless None. With an ``rng``, the
-    head reads K dropout-masked copies of its input.
+    ``grads`` unless None. With an ``rng``, the head reads K dropout-masked
+    copies of its input.
 
-    The encoder and the Q/K projections run once on the stacked rows of the
-    group, with one block per document and dropout copy, and the grid loss
-    once on the score grids of every block laid end to end. Pair-score
-    products and the backward pass run per block, and each weight gradient
-    is accumulated document by document, so every sum keeps the order of a
-    per-document loop.
+    The head rows are stacked as one block per document and dropout copy,
+    a document's copies following it. Every product of the encoder, the
+    heads and their backward pass runs once on the stacked rows, and the
+    grid loss once on the score grids of every block laid end to end. Only
+    the pair-score products and their gradients run block by block.
     """
     cfg = params.config
     a = params.arrays
-    grid = params.task != "bio"
     d, n_rel = cfg.hidden_dim, params.n_relations
     n_copies = cfg.multi_dropout_k if rng is not None else 1
     starts = np.cumsum([0] + [len(inst.features.ids) for inst in instances])
     h, (ids, phi, acts, pos1d) = _encoder_forward(
         [inst.features for inst in instances], [inst.order for inst in instances], params)
     h_head, offsets = _head_input(h, starts, params)
-    hc_all = h_head
+    # Block b (copy b % n_copies of document b // n_copies) is rows
+    # row_at[b]:row_at[b + 1] of hc; take maps each row to its row of h_head.
+    ms = np.repeat(np.diff(offsets), n_copies)
+    row_at = np.concatenate(([0], np.cumsum(ms)))
+    take = np.arange(row_at[-1]) - np.repeat(row_at[:-1] - np.repeat(offsets[:-1], n_copies), ms)
+    hc = h_head[take]
     if rng is not None:
-        # A document's copies follow it: its masks are one (copies, rows, d)
-        # draw, taken from the rng in document order.
+        # A document's masks are one (copies, rows, d) draw, in document order.
         keep = 1.0 - cfg.dropout_rate
-        take = np.concatenate([np.tile(np.arange(lo, hi), n_copies)
-                               for lo, hi in zip(offsets[:-1], offsets[1:])])
-        masks = (rng.random((len(take), d)) < keep).astype(float)
-        hc_all = h_head[take] * masks / keep
-        mscale = masks / keep
-    if grid:
-        qk_all = _queries_keys(hc_all, params)
-        # Rows of each (document, copy) block in stacking order, and where
-        # each block starts in the stacked rows and in the flat score buffer.
-        ms = np.repeat(np.diff(offsets), n_copies)
-        row_at = np.concatenate(([0], np.cumsum(ms))).tolist()
+        mscale = (rng.random((len(take), d)) < keep) / keep
+        hc *= mscale
+    blocks = list(zip(row_at[:-1].tolist(), ms.tolist()))
+    if params.task != "bio":
+        qk = _queries_keys(hc, params)
         at = np.concatenate(([0], np.cumsum(n_rel * ms * ms))).tolist()
         s = np.empty(at[-1])
-        for b, m in enumerate(ms.tolist()):
-            lo = row_at[b]
-            _pair_products(qk_all[:n_rel, lo : lo + m], qk_all[n_rel:, lo : lo + m],
+        for b, (lo, m) in enumerate(blocks):
+            _pair_products(qk[:n_rel, lo : lo + m], qk[n_rel:, lo : lo + m],
                            out=s[at[b] : at[b + 1]].reshape(n_rel, m, m))
         s /= np.sqrt(d)
         pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
-        terms, ds_all = _flat_grid_loss(s, pos, np.repeat(ms * ms, n_rel), grads is not None)
-        # Per block, the sum over types; per document, the mean over copies.
-        grid_losses = _sum_runs(_sum_runs(terms, len(ms)) / n_copies, len(instances)).tolist()
+        terms, ds = _flat_grid_loss(s, pos, np.repeat(ms * ms, n_rel), grads is not None)
+        # A document's loss: its copies' grid losses, summed, over the copies.
+        losses = terms.reshape(len(instances), -1).sum(axis=1) / n_copies
         if grads is None:
-            return grid_losses
-        ds_all /= np.sqrt(d) * n_copies
-    if grads is not None:
-        # Gradients reaching the embedding rows, and the 1D table rows (the
-        # same array unless the 1D rows also feed h as a residual).
-        dx_all = np.empty_like(h)
-        d1_all = np.empty_like(h) if cfg.positional_residual and pos1d else dx_all
-
-    losses = []
-    for i, inst in enumerate(instances):
-        m = offsets[i + 1] - offsets[i]
-        perm = None if grid else np.asarray(inst.order.perm)
-        loss = grid_losses[i] if grid else 0.0
-        dh_head = np.zeros((m, d)) if grads is not None else None
-        for c in range(n_copies):
-            lo = n_copies * offsets[i] + c * m
-            hc = hc_all[lo : lo + m]
-            if grid:
-                q, k = qk_all[:n_rel, lo : lo + m], qk_all[n_rel:, lo : lo + m]
-                b = i * n_copies + c
-                ds = ds_all[at[b] : at[b + 1]].reshape(n_rel, m, m)
-            else:
-                logits, prev, nxt = _bio_logits(hc, perm, a)
-                li, dlogits = _softmax_ce_grad(logits, inst.target)
-                loss += li / n_copies
-            if grads is None:
-                continue
-            if grid:
-                dqk = np.concatenate([np.matmul(ds, k), np.matmul(ds.transpose(0, 2, 1), q)])
-                dqk_cols = dqk.transpose(1, 0, 2).reshape(m, -1)
-                head_grads[:d] += hc.T @ dqk_cols
-                head_grads[d] += dqk_cols.sum(axis=0)
-                # sum over t of dQ_t @ W_q^t.T + dK_t @ W_k^t.T
-                back = np.matmul(dqk, w_t)
-                dhc = (back[:n_rel] + back[n_rel:]).sum(axis=0)
-            else:
-                dlogits /= n_copies
-                grads["cls_w"] += hc.T @ dlogits
-                grads["cls_wp"] += prev.T @ dlogits
-                grads["cls_wn"] += nxt.T @ dlogits
-                grads["cls_b"] += dlogits.sum(axis=0)
-                dhc = dlogits @ a["cls_w"].T
-                # prev[perm[p]] = hc[perm[p-1]], nxt[perm[p]] = hc[perm[p+1]]
-                dhc[perm[:-1]] += (dlogits @ a["cls_wp"].T)[perm[1:]]
-                dhc[perm[1:]] += (dlogits @ a["cls_wn"].T)[perm[:-1]]
-            dh_head += dhc * mscale[lo : lo + m] if rng is not None else dhc
-        losses.append(loss)
+            return losses.tolist()
+        ds /= np.sqrt(d) * n_copies
+        dqk = np.empty_like(qk)
+        for b, (lo, m) in enumerate(blocks):
+            g = ds[at[b] : at[b + 1]].reshape(n_rel, m, m)
+            q, k = qk[:n_rel, lo : lo + m], qk[n_rel:, lo : lo + m]
+            np.matmul(g, k, out=dqk[:n_rel, lo : lo + m])
+            np.matmul(g.transpose(0, 2, 1), q, out=dqk[n_rel:, lo : lo + m])
+        dhc = np.zeros_like(hc)
+        for j, (p, t) in enumerate(_head_order(n_rel)):
+            grads[f"{p}_w{t}"] += hc.T @ dqk[j]
+            grads[f"{p}_b{t}"] += dqk[j].sum(axis=0)
+            dhc += dqk[j] @ a[f"{p}_w{t}"].T
+    else:
+        # Neighbour pairs along each block's order; none crosses a block.
+        perms = [np.asarray(inst.order.perm) for inst in instances for _ in range(n_copies)]
+        before = np.concatenate([lo + p[:-1] for (lo, _), p in zip(blocks, perms)])
+        after = np.concatenate([lo + p[1:] for (lo, _), p in zip(blocks, perms)])
+        logits, prev, nxt = _bio_logits(hc, before, after, a)
+        # A row weighs 1 / (words * copies): a document's loss is the mean
+        # over its copies of the mean cross-entropy over its words.
+        targets = np.concatenate([inst.target for inst in instances])[take]
+        ce, dlogits = _softmax_ce_grad(logits, targets, np.repeat(1.0 / (ms * n_copies), ms))
+        doc_of_row = np.repeat(np.arange(len(ms)) // n_copies, ms)
+        losses = np.bincount(doc_of_row, weights=ce, minlength=len(instances))
         if grads is None:
-            continue
-        if params.task == "rop":
-            grads["aux_emb"] += dh_head[0]
-            dh = dh_head[1:]
-        else:
-            dh = dh_head
-        # h = mlp_out + layout (+ the 1D rows when positional_residual); the
-        # residuals feed pos2d_w and the 1D tables directly.
-        w = slice(starts[i], starts[i + 1])
-        da = dh
-        for l in reversed(range(cfg.mlp_layers)):
-            out_l = acts[l + 1][w]
-            dz = da * (1.0 - out_l * out_l)
-            grads[f"enc_w{l}"] += acts[l][w].T @ dz
-            grads[f"enc_b{l}"] += dz.sum(axis=0)
-            da = dz @ a[f"enc_w{l}"].T
-        dx_all[w] = da
-        dxh = da + dh
-        grads["pos2d_w"] += phi[w].T @ dxh
-        if d1_all is not dx_all:
-            d1_all[w] = dxh
+            return losses.tolist()
+        grads["cls_w"] += hc.T @ dlogits
+        grads["cls_wp"] += prev.T @ dlogits
+        grads["cls_wn"] += nxt.T @ dlogits
+        grads["cls_b"] += dlogits.sum(axis=0)
+        dhc = dlogits @ a["cls_w"].T
+        # prev[after] = hc[before] and nxt[before] = hc[after]
+        dhc[before] += (dlogits @ a["cls_wp"].T)[after]
+        dhc[after] += (dlogits @ a["cls_wn"].T)[before]
 
-    if grads is not None:
-        np.add.at(grads["tok_emb"], ids, dx_all)
-        if pos1d:
-            np.add.at(grads[pos1d[0]], pos1d[1], d1_all)
-    return losses
+    if rng is not None:
+        dhc *= mscale
+    if n_copies > 1:
+        dh_head = np.zeros_like(h_head)
+        np.add.at(dh_head, take, dhc)
+    else:
+        dh_head = dhc
+    if params.task == "rop":
+        grads["aux_emb"] += dh_head[offsets[:-1]].sum(axis=0)
+        dh = np.delete(dh_head, offsets[:-1], axis=0)
+    else:
+        dh = dh_head
+    # h = mlp_out + layout (+ the 1D rows when positional_residual); the
+    # residuals feed pos2d_w and the 1D tables directly.
+    da = dh
+    for l in reversed(range(cfg.mlp_layers)):
+        out_l = acts[l + 1]
+        dz = da * (1.0 - out_l * out_l)
+        grads[f"enc_w{l}"] += acts[l].T @ dz
+        grads[f"enc_b{l}"] += dz.sum(axis=0)
+        da = dz @ a[f"enc_w{l}"].T
+    dxh = da + dh
+    grads["pos2d_w"] += phi.T @ dxh
+    np.add.at(grads["tok_emb"], ids, da)
+    if pos1d:
+        np.add.at(grads[pos1d[0]], pos1d[1], dxh if cfg.positional_residual else da)
+    return losses.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,10 @@ def _random_grids(rng, n_types, sizes):
 
 
 class TestGridLoss:
-    def test_flat_pass_equals_per_type_reference_bitwise(self):
+    def test_flat_pass_equals_per_type_reference(self):
         # Grids of several documents in one call, as a training group runs
-        # them: each document's loss and gradient carry the reference's bits.
+        # them: each document's loss and gradient match the reference's up
+        # to the order of the sums.
         rng = np.random.default_rng(17)
         checked = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -322,14 +323,15 @@ class TestGridLoss:
                 pos = np.concatenate([lab.ravel() for _, lab in grids])
                 cells = np.repeat([sc[0].size for sc, _ in grids], n_types)
                 terms, ds = scorer_module._flat_grid_loss(s, pos, cells)
-                losses = scorer_module._sum_runs(terms, len(grids))
+                losses = terms.reshape(len(grids), n_types).sum(axis=1)
                 at = 0
                 for (scores, labels), loss in zip(grids, losses):
                     want_loss, want_ds = _reference_grid_loss_grad(scores, labels)
-                    assert np.array_equal(loss, want_loss, equal_nan=True)
+                    np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0.0)
                     got_ds = ds[at : at + scores.size].reshape(scores.shape)
-                    assert np.array_equal(got_ds, want_ds, equal_nan=True)
-                    assert grid_loss(scores, labels) == want_loss or np.isnan(want_loss)
+                    np.testing.assert_allclose(got_ds, want_ds, rtol=1e-12, atol=0.0)
+                    np.testing.assert_allclose(grid_loss(scores, labels), want_loss,
+                                               rtol=1e-12, atol=0.0)
                     at += scores.size
                     checked += 1
 
@@ -337,8 +339,8 @@ class TestGridLoss:
         # Five documents in one group under dropout with K = 3 copies; the
         # first has relation types with no positive cell. The reference runs
         # each document as a group of its own and its grids one type at a
-        # time through the reference loss; masks and every gradient sum
-        # follow the same order, so all bits must match.
+        # time through the reference loss. Masks follow the same order; the
+        # sums over a group's stacked rows do not, so they agree to rounding.
         cfg = small_config(dropout_rate=0.2, multi_dropout_k=3)
         types, insts = _five_instances("ner", cfg)
         assert not insts[0].target[0].any() and insts[0].target.any()
@@ -362,8 +364,9 @@ class TestGridLoss:
         monkeypatch.setattr(scorer_module, "_GROUP_ROWS", 1)
         monkeypatch.setattr(scorer_module, "_flat_grid_loss", reference_flat_loss)
         want = run()
-        assert got[0] == want[0]
-        assert np.array_equal(grads_to_vector(params, got[1]), grads_to_vector(params, want[1]))
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(grads_to_vector(params, got[1]),
+                                   grads_to_vector(params, want[1]), rtol=1e-12, atol=0.0)
 
     def test_closed_form_at_zero_scores(self):
         scores = np.zeros((1, 5, 5))
@@ -552,18 +555,25 @@ class TestBatchEngine:
 
     @staticmethod
     def assert_same(params, got, want):
+        # A coordinate that cancels to near zero keeps only the absolute
+        # error of the larger terms it sums: 1e-12 of the largest gradient.
         assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(grads_to_vector(params, got[1]),
-                                   grads_to_vector(params, want[1]), rtol=1e-12, atol=0.0)
+        want_grads = grads_to_vector(params, want[1])
+        np.testing.assert_allclose(grads_to_vector(params, got[1]), want_grads,
+                                   rtol=1e-12, atol=1e-12 * np.abs(want_grads).max())
 
     @pytest.mark.parametrize("group_rows", [20, 256])
     @pytest.mark.parametrize("mode", ["none", "global", "local"])
     @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
     def test_batch_equals_mean_of_single_documents(self, task, mode, group_rows, monkeypatch):
-        # 20 rows splits the batch into several stacked groups.
+        # 20 rows splits the batch into several stacked groups. A one-word
+        # document shares the first group: it has no BIO neighbour pair, and
+        # its rop block is the start row and one word.
         monkeypatch.setattr(scorer_module, "_GROUP_ROWS", group_rows)
         cfg = small_config(use_1d_position=mode, positional_residual=mode == "local")
         types, insts = _five_instances(task, cfg)
+        one_word = gen_corpus(GenConfig(doc_count=1, words_per_doc=(1, 1), seed=4)).documents[0]
+        insts.insert(1, make_instance(one_word, ocr_order(one_word), task, cfg))
         params = init_params(cfg, task, types)
         self.assert_same(params, task_loss_and_grad(params, insts),
                          _sequential_mean(params, insts))
@@ -603,7 +613,7 @@ class TestScoringMatchesTraining:
             z = logits - logits.max(axis=1, keepdims=True)
             rows = np.arange(doc.n_words)
             ce = -float(np.mean(z[rows, inst.target] - np.log(np.exp(z).sum(axis=1))))
-            assert ce == task_loss(params, [inst])
+            assert ce == pytest.approx(task_loss(params, [inst]), rel=1e-12, abs=0.0)
 
 
 class TestCheckpoint:
