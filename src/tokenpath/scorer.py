@@ -24,6 +24,11 @@ features include multi-frequency sinusoids of both box centres and left
 and right edges, so a bilinear form can express relative-offset detectors
 such as "j sits just right of i on the same row" (x0_j - x1_i small) for
 words of any width.
+
+Each of the T relation types has its own query and key head, and the types
+split the hidden width d between them, as the heads of multi-head attention
+do: a head is e = d // T wide, so ner's T types cost about as much as el's
+and rop's single full-width head. A pair score is q_i . k_j / sqrt(e).
 """
 
 from __future__ import annotations
@@ -125,11 +130,18 @@ def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
     for l in range(config.mlp_layers):
         table[f"enc_w{l}"] = ((d, d), w)
         table[f"enc_b{l}"] = ((d,), 0.0)
-    for t in range(relation_count(task, len(entity_types))):
-        table[f"q_w{t}"] = ((d, d), w)
-        table[f"q_b{t}"] = ((d,), 0.0)
-        table[f"k_w{t}"] = ((d, d), w)
-        table[f"k_b{t}"] = ((d,), 0.0)
+    n_rel = relation_count(task, len(entity_types))
+    if n_rel > d:
+        raise ValueError(f"hidden_dim {d} is smaller than the {n_rel} relation types of a "
+                         f"{task!r} model: each type's pair head is hidden_dim // {n_rel} wide")
+    # Each type's heads are e = d // T wide; their fan-in, and so their
+    # init scale, stays that of d.
+    e = d // max(1, n_rel)
+    for t in range(n_rel):
+        table[f"q_w{t}"] = ((d, e), w)
+        table[f"q_b{t}"] = ((e,), 0.0)
+        table[f"k_w{t}"] = ((d, e), w)
+        table[f"k_b{t}"] = ((e,), 0.0)
     if task == "rop":
         table["aux_emb"] = ((d,), 0.5)
     if task == "bio":
@@ -290,11 +302,11 @@ def _head_order(n_relations: int):
 
 
 def _queries_keys(rows: np.ndarray, params: ModelParams) -> np.ndarray:
-    """(2T, rows, d): each pair head of ``_head_order`` applied to stacked
+    """(2T, rows, e): each pair head of ``_head_order`` applied to stacked
     head rows; Q[t] = rows @ W_q^t + b_q^t."""
     a = params.arrays
     heads = _head_order(params.n_relations)
-    qk = np.empty((len(heads),) + rows.shape)
+    qk = np.empty((len(heads), len(rows), a["q_w0"].shape[1]))
     for j, (p, t) in enumerate(heads):
         np.matmul(rows, a[f"{p}_w{t}"], out=qk[j])
         qk[j] += a[f"{p}_b{t}"]
@@ -303,7 +315,7 @@ def _queries_keys(rows: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def _pair_products(q: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
     """q[t, i] . k[t, j] for one document's rows, into ``out`` if given; a
-    pair score is this product over sqrt(d)."""
+    pair score is this product over sqrt(e), e the head width."""
     return np.matmul(q, k.transpose(0, 2, 1), out=out)
 
 
@@ -313,7 +325,7 @@ def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
         raise ValueError("empty hidden states")
     qk = _queries_keys(h, params)
     scores = _pair_products(qk[: params.n_relations], qk[params.n_relations :])
-    scores /= np.sqrt(h.shape[-1])
+    scores /= np.sqrt(qk.shape[-1])
     return scores
 
 
@@ -578,14 +590,14 @@ def _run_group(params, instances, rng, grads):
         for b, (lo, m) in enumerate(blocks):
             _pair_products(qk[:n_rel, lo : lo + m], qk[n_rel:, lo : lo + m],
                            out=s[at[b] : at[b + 1]].reshape(n_rel, m, m))
-        s /= np.sqrt(d)
+        s /= np.sqrt(qk.shape[-1])
         pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
         terms, ds = _flat_grid_loss(s, pos, np.repeat(ms * ms, n_rel), grads is not None)
         # A document's loss: its copies' grid losses, summed, over the copies.
         losses = terms.reshape(len(instances), -1).sum(axis=1) / n_copies
         if grads is None:
             return losses.tolist()
-        ds /= np.sqrt(d) * n_copies
+        ds /= np.sqrt(qk.shape[-1]) * n_copies
         dqk = np.empty_like(qk)
         for b, (lo, m) in enumerate(blocks):
             g = ds[at[b] : at[b + 1]].reshape(n_rel, m, m)
@@ -657,7 +669,10 @@ def _run_group(params, instances, rng, grads):
 # raw row-major float64 array payloads in header order. Loading and saving
 # again must reproduce the file byte for byte. "TPPCKPT1" files hold the
 # same array names for a different model (narrower pos2d_w, no layout
-# residual, a BIO head without neighbours) and are refused.
+# residual, a BIO head without neighbours) and are refused. The pair heads
+# became d // T wide under this magic: el, rop and bio (T <= 1) files keep
+# their layout and load as before, while a ner file with d-wide heads is
+# refused by the array-table check as a wrong shape.
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:

@@ -338,6 +338,9 @@ class TestCorruptInputs:
         "extra_config_key": "unexpected keyword argument 'depth'",
         "unknown_task": "unknown task 'pos'",
         "trailing_bytes": "trailing bytes after arrays",
+        # ner's pair heads are hidden_dim // types wide, not hidden_dim.
+        "full_width_heads": "missing [], extra [], wrong shape ['k_b0', 'k_b1', 'k_w0', "
+                            "'k_w1', 'q_b0', 'q_b1', 'q_w0', 'q_w1']",
     }
 
     @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
@@ -348,6 +351,10 @@ class TestCorruptInputs:
                              corpus.entity_types)
         if damage == "missing_array":
             del params.arrays["q_w0"]
+        elif damage == "full_width_heads":
+            for name in list(params.arrays):
+                if name[:2] in ("q_", "k_"):
+                    params.arrays[name] = np.zeros((8,) * params.arrays[name].ndim)
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, str(ckpt))
         if damage == "extra_config_key":

@@ -526,6 +526,37 @@ class TestGradients:
         assert np.array_equal(grads_to_vector(p1, g1), grads_to_vector(p2, g2))
 
 
+class TestHeadWidth:
+    """The relation types split the hidden width: each pair head is
+    hidden_dim // T wide."""
+
+    def test_types_split_the_hidden_width(self):
+        ner = init_params(small_config(hidden_dim=8), "ner", ("a", "b", "c"))
+        assert ner.arrays["q_w2"].shape == ner.arrays["k_w2"].shape == (8, 2)
+        assert ner.arrays["q_b2"].shape == ner.arrays["k_b2"].shape == (2,)
+
+    def test_more_types_than_hidden_dim_refused(self):
+        with pytest.raises(ValueError, match=r"hidden_dim 2 is smaller than the 3 relation types"):
+            init_params(small_config(hidden_dim=2), "ner", ("a", "b", "c"))
+
+    def test_one_wide_heads_pass_finite_differences(self):
+        # T = hidden_dim: every head is a single column.
+        docs = small_corpus(entity_types=4)[:2]
+        cfg = small_config(hidden_dim=4, dropout_rate=0.2, multi_dropout_k=2,
+                           use_1d_position="local")
+        assert fd_check("ner", cfg, docs) < 1e-4
+
+    @pytest.mark.parametrize("task", ["el", "rop"])
+    def test_one_type_checkpoints_keep_full_width_heads(self, tmp_path, task):
+        # T = 1 files keep the d x d head layout and their bytes.
+        params = init_params(small_config(), task, ("q", "a"))
+        assert params.arrays["q_w0"].shape == params.arrays["k_w0"].shape == (8, 8)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(params, str(p1))
+        save_checkpoint(load_checkpoint(str(p1)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
+
 def _five_instances(task, cfg):
     """Entity types and instances of five documents of different lengths,
     under shuffled word orders."""

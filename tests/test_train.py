@@ -14,7 +14,7 @@ from tokenpath.scorer import (
 )
 from tokenpath.train import Hyper, TrainLog, train
 
-from .test_scorer import params_to_vector
+from .test_scorer import params_to_vector, small_corpus
 
 
 def toy_docs(n=10, seed=1, **kw):
@@ -87,12 +87,15 @@ class TestTrain:
         _, log = train(docs, task, cfg, Hyper(steps=1, batch_size=len(docs)))
         init = init_params(cfg, task, docs[0].entity_types)
 
-        def loss_under(orders):
-            return task_loss(init, [make_instance(d, o, task, cfg) for d, o in zip(docs, orders)])
+        def losses_under(orders):
+            return [task_loss(init, [make_instance(d, o, task, cfg)]) for d, o in zip(docs, orders)]
 
         # Equal up to the order in which the batch sums its documents.
-        assert log.losses[0] == pytest.approx(loss_under(stored), rel=1e-12, abs=0.0)
-        assert log.losses[0] != pytest.approx(loss_under([ocr_order(d) for d in docs]), rel=1e-6)
+        insts = [make_instance(d, o, task, cfg) for d, o in zip(docs, stored)]
+        assert log.losses[0] == pytest.approx(task_loss(init, insts), rel=1e-12, abs=0.0)
+        # Each document's loss moves with its order; a batch sum could cancel.
+        for s, o in zip(losses_under(stored), losses_under([ocr_order(d) for d in docs])):
+            assert s != pytest.approx(o, rel=1e-6)
 
     def test_rop_requires_gold_order(self):
         from dataclasses import replace
@@ -116,6 +119,16 @@ class TestTrain:
                             Hyper(lr=0.3, steps=300, batch_size=8, warmup_fraction=0.1))
         assert not log.aborted
         assert log.losses[-1] < 0.5 * log.losses[0]
+
+    def test_one_wide_pair_heads_train(self):
+        # As many entity types as hidden units: each pair head is one wide.
+        docs = small_corpus(entity_types=4)
+        cfg = EncoderConfig(hidden_dim=4, vocab_buckets=64, use_1d_position="local",
+                            dropout_rate=0.2, multi_dropout_k=2, seed=3)
+        params, log = train(docs, "ner", cfg, Hyper(lr=0.05, steps=60, batch_size=4))
+        assert params.arrays["q_w3"].shape == (4, 1)
+        assert not log.aborted
+        assert log.losses[-1] < 0.7 * log.losses[0]
 
     def test_log_holds_pre_clip_norms_and_clip_count(self):
         docs = toy_docs(6)
