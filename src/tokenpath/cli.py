@@ -17,7 +17,6 @@ import contextlib
 import json
 import os
 import shutil
-import struct
 import sys
 import tempfile
 from dataclasses import asdict
@@ -194,7 +193,7 @@ def _load_checkpoint_checked(path: str, task: str):
         raise CliError(f"checkpoint not found: {path}")
     try:
         params = load_checkpoint(path)
-    except (OSError, ValueError, KeyError, struct.error) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"cannot load checkpoint {path}: {exc}") from exc
     if params.task != task:
         raise CliError(f"checkpoint was trained for task {params.task!r}, not {task!r}")

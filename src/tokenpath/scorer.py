@@ -28,12 +28,15 @@ words of any width.
 Each of the T relation types has its own query and key head, and the types
 split the hidden width d between them, as the heads of multi-head attention
 do: a head is e = d // T wide, so ner's T types cost about as much as el's
-and rop's single full-width head. A pair score is q_i . k_j / sqrt(e).
+and rop's single full-width head. A pair score is q_i . k_j / sqrt(e). The
+2T heads are stacked as ``qk_w`` (T, 2, d, e) and ``qk_b`` (T, 2, e), where
+[t, 0] is type t's query head and [t, 1] its key head.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -134,14 +137,11 @@ def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
     if n_rel > d:
         raise ValueError(f"hidden_dim {d} is smaller than the {n_rel} relation types of a "
                          f"{task!r} model: each type's pair head is hidden_dim // {n_rel} wide")
-    # Each type's heads are e = d // T wide; their fan-in, and so their
-    # init scale, stays that of d.
-    e = d // max(1, n_rel)
-    for t in range(n_rel):
-        table[f"q_w{t}"] = ((d, e), w)
-        table[f"q_b{t}"] = ((e,), 0.0)
-        table[f"k_w{t}"] = ((d, e), w)
-        table[f"k_b{t}"] = ((e,), 0.0)
+    if n_rel:
+        # e = d // T wide heads; their fan-in, and so their init scale, is d.
+        e = d // n_rel
+        table["qk_w"] = ((n_rel, 2, d, e), w)
+        table["qk_b"] = ((n_rel, 2, e), 0.0)
     if task == "rop":
         table["aux_emb"] = ((d,), 0.5)
     if task == "bio":
@@ -295,21 +295,11 @@ def _encoder_forward(
     return h, (ids, phi, acts, pos1d)
 
 
-def _head_order(n_relations: int):
-    """(q or k, relation type) of each pair head in stacking order: every
-    query head, then every key head."""
-    return [(p, t) for p in "qk" for t in range(n_relations)]
-
-
 def _queries_keys(rows: np.ndarray, params: ModelParams) -> np.ndarray:
-    """(2T, rows, e): each pair head of ``_head_order`` applied to stacked
-    head rows; Q[t] = rows @ W_q^t + b_q^t."""
-    a = params.arrays
-    heads = _head_order(params.n_relations)
-    qk = np.empty((len(heads), len(rows), a["q_w0"].shape[1]))
-    for j, (p, t) in enumerate(heads):
-        np.matmul(rows, a[f"{p}_w{t}"], out=qk[j])
-        qk[j] += a[f"{p}_b{t}"]
+    """(T, 2, rows, e): every pair head applied to stacked head rows;
+    [t, 0] holds type t's queries and [t, 1] its keys."""
+    qk = rows @ params.arrays["qk_w"]
+    qk += params.arrays["qk_b"][:, :, None]
     return qk
 
 
@@ -324,7 +314,7 @@ def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
     if h.size == 0:
         raise ValueError("empty hidden states")
     qk = _queries_keys(h, params)
-    scores = _pair_products(qk[: params.n_relations], qk[params.n_relations :])
+    scores = _pair_products(qk[:, 0], qk[:, 1])
     scores /= np.sqrt(qk.shape[-1])
     return scores
 
@@ -588,7 +578,7 @@ def _run_group(params, instances, rng, grads):
         at = np.concatenate(([0], np.cumsum(n_rel * ms * ms))).tolist()
         s = np.empty(at[-1])
         for b, (lo, m) in enumerate(blocks):
-            _pair_products(qk[:n_rel, lo : lo + m], qk[n_rel:, lo : lo + m],
+            _pair_products(qk[:, 0, lo : lo + m], qk[:, 1, lo : lo + m],
                            out=s[at[b] : at[b + 1]].reshape(n_rel, m, m))
         s /= np.sqrt(qk.shape[-1])
         pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
@@ -601,14 +591,11 @@ def _run_group(params, instances, rng, grads):
         dqk = np.empty_like(qk)
         for b, (lo, m) in enumerate(blocks):
             g = ds[at[b] : at[b + 1]].reshape(n_rel, m, m)
-            q, k = qk[:n_rel, lo : lo + m], qk[n_rel:, lo : lo + m]
-            np.matmul(g, k, out=dqk[:n_rel, lo : lo + m])
-            np.matmul(g.transpose(0, 2, 1), q, out=dqk[n_rel:, lo : lo + m])
-        dhc = np.zeros_like(hc)
-        for j, (p, t) in enumerate(_head_order(n_rel)):
-            grads[f"{p}_w{t}"] += hc.T @ dqk[j]
-            grads[f"{p}_b{t}"] += dqk[j].sum(axis=0)
-            dhc += dqk[j] @ a[f"{p}_w{t}"].T
+            np.matmul(g, qk[:, 1, lo : lo + m], out=dqk[:, 0, lo : lo + m])
+            np.matmul(g.transpose(0, 2, 1), qk[:, 0, lo : lo + m], out=dqk[:, 1, lo : lo + m])
+        grads["qk_w"] += hc.T @ dqk
+        grads["qk_b"] += dqk.sum(axis=2)
+        dhc = (dqk @ a["qk_w"].transpose(0, 1, 3, 2)).sum(axis=(0, 1))
     else:
         # Neighbour pairs along each block's order; none crosses a block.
         perms = [np.asarray(inst.order.perm) for inst in instances for _ in range(n_copies)]
@@ -669,10 +656,11 @@ def _run_group(params, instances, rng, grads):
 # raw row-major float64 array payloads in header order. Loading and saving
 # again must reproduce the file byte for byte. "TPPCKPT1" files hold the
 # same array names for a different model (narrower pos2d_w, no layout
-# residual, a BIO head without neighbours) and are refused. The pair heads
-# became d // T wide under this magic: el, rop and bio (T <= 1) files keep
-# their layout and load as before, while a ner file with d-wide heads is
-# refused by the array-table check as a wrong shape.
+# residual, a BIO head without neighbours) and are refused. Two layouts of
+# the pair heads came and went under this magic: d-wide heads per ner type,
+# and four arrays per type (q_w0, q_b0, k_w0, k_b0, ...). The array-table
+# check refuses both, as a wrong shape or as missing qk_w and qk_b; bio
+# files, which hold no pair head, load as before.
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -703,9 +691,14 @@ def load_checkpoint(path: str) -> ModelParams:
             )
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        field = f.read(8)
+        if len(field) < 8:
+            raise ValueError(f"{path}: header length field is cut short")
+        (hlen,) = struct.unpack("<Q", field)
+        if hlen > os.fstat(f.fileno()).st_size - f.tell():
+            raise ValueError(f"{path}: header length {hlen} is past the end of the file")
         try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
             config = EncoderConfig(**header["config"])
             task, types = header["task"], tuple(header["entity_types"])
             want = {name: shape for name, (shape, _) in _param_table(config, task, types).items()}
@@ -722,8 +715,12 @@ def load_checkpoint(path: str) -> ModelParams:
             )
         arrays = {}
         for name, shape in table.items():
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape)
+            size = 8 * int(np.prod(shape))
+            payload = f.read(size)
+            if len(payload) < size:
+                raise ValueError(f"{path}: array {name!r} of shape {list(shape)} needs "
+                                 f"{size} bytes, the file holds {len(payload)}")
+            data = np.frombuffer(payload, dtype="<f8").reshape(shape)
             if not np.isfinite(data).all():
                 raise ValueError(f"{path}: array {name!r} holds non-finite values")
             arrays[name] = data.astype(np.float64).copy()

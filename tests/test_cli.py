@@ -334,13 +334,22 @@ class TestCorruptInputs:
         path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen :])
 
     CHECKPOINT_DAMAGE = {
-        "missing_array": "missing ['q_w0'], extra [], wrong shape []",
+        "missing_array": "missing ['qk_w'], extra [], wrong shape []",
         "extra_config_key": "unexpected keyword argument 'depth'",
         "unknown_task": "unknown task 'pos'",
         "trailing_bytes": "trailing bytes after arrays",
         # ner's pair heads are hidden_dim // types wide, not hidden_dim.
-        "full_width_heads": "missing [], extra [], wrong shape ['k_b0', 'k_b1', 'k_w0', "
-                            "'k_w1', 'q_b0', 'q_b1', 'q_w0', 'q_w1']",
+        "full_width_heads": "missing [], extra [], wrong shape ['qk_b', 'qk_w']",
+        # Four arrays per type, as before the heads were stacked.
+        "per_type_heads": "missing ['qk_b', 'qk_w'], extra ['k_b0', 'k_b1', 'k_w0', 'k_w1', "
+                          "'q_b0', 'q_b1', 'q_w0', 'q_w1'], wrong shape []",
+        # Length fields cut short or past the end of the file are refused
+        # before reading.
+        "cut_length_field": "header length field is cut short",
+        "huge_header_length": "header length 9223372036854775808 is past the end of the file",
+        "header_one_byte_past_end": "is past the end of the file",
+        # Arrays are stored by name, so tok_emb (16 x 8) is the last.
+        "short_payload": "array 'tok_emb' of shape [16, 8] needs 1024 bytes, the file holds 1016",
     }
 
     @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
@@ -350,19 +359,33 @@ class TestCorruptInputs:
         params = init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), "ner",
                              corpus.entity_types)
         if damage == "missing_array":
-            del params.arrays["q_w0"]
+            del params.arrays["qk_w"]
         elif damage == "full_width_heads":
-            for name in list(params.arrays):
-                if name[:2] in ("q_", "k_"):
-                    params.arrays[name] = np.zeros((8,) * params.arrays[name].ndim)
+            params.arrays["qk_w"] = np.zeros((2, 2, 8, 8))
+            params.arrays["qk_b"] = np.zeros((2, 2, 8))
+        elif damage == "per_type_heads":
+            w, b = params.arrays.pop("qk_w"), params.arrays.pop("qk_b")
+            for t in range(2):
+                for p, head in enumerate("qk"):
+                    params.arrays[f"{head}_w{t}"] = w[t, p]
+                    params.arrays[f"{head}_b{t}"] = b[t, p]
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(params, str(ckpt))
+        blob = ckpt.read_bytes()
         if damage == "extra_config_key":
             self._rewrite_header(ckpt, lambda h: h["config"].update(depth=3))
         elif damage == "unknown_task":
             self._rewrite_header(ckpt, lambda h: h.update(task="pos"))
         elif damage == "trailing_bytes":
-            ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+            ckpt.write_bytes(blob + b"\0")
+        elif damage == "huge_header_length":
+            ckpt.write_bytes(blob[:8] + struct.pack("<Q", 2**63) + blob[16:])
+        elif damage == "header_one_byte_past_end":
+            ckpt.write_bytes(blob[:8] + struct.pack("<Q", len(blob) - 15) + blob[16:])
+        elif damage == "short_payload":
+            ckpt.write_bytes(blob[:-8])
+        elif damage == "cut_length_field":
+            ckpt.write_bytes(blob[:12])
         assert run(["decode", "--task", "ner", "--corpus", corpus_dir,
                     "--checkpoint", ckpt, "--out", tmp_path / "p"]) == 1
         rec = last_error(capsys)
@@ -576,7 +599,7 @@ class TestPipeline:
         corpus = load_corpus(str(corpus_dir))
         params = init_params(EncoderConfig(hidden_dim=8, vocab_buckets=16), "ner",
                              corpus.entity_types)
-        params.arrays["q_w0"][0, 0] = np.nan
+        params.arrays["qk_w"][0, 0, 0, 0] = np.nan
         params.arrays["enc_b0"][1] = np.inf
         ckpt = tmp_path / "nan.ckpt"
         save_checkpoint(params, str(ckpt))

@@ -186,14 +186,25 @@ class TestGlobalPointerScores:
         params = init_params(cfg, "el", ("q", "a"))
         d = cfg.hidden_dim
         u = np.arange(1.0, d + 1.0) / d
-        params.arrays["q_w0"][:] = 0.0
-        params.arrays["k_w0"][:] = 0.0
-        params.arrays["q_b0"][:] = u
-        params.arrays["k_b0"][:] = u
+        params.arrays["qk_w"][:] = 0.0
+        params.arrays["qk_b"][:] = u
         h = np.zeros((5, d))
         scores = global_pointer_scores(h, params)
         expected = float(u @ u) / math.sqrt(d)
         assert np.allclose(scores, expected)
+
+    def test_stacked_heads_are_query_then_key_per_type(self):
+        # qk_w[t, 0] / qk_b[t, 0] is type t's query head, [t, 1] its key head.
+        params = init_params(small_config(hidden_dim=6), "ner", ("a", "b", "c"))
+        w, b = params.arrays["qk_w"], params.arrays["qk_b"]
+        b[:] = np.random.default_rng(0).normal(size=b.shape)
+        h = np.random.default_rng(1).normal(size=(5, 6))
+        scores = global_pointer_scores(h, params)
+        assert scores.shape == (3, 5, 5)
+        for t in range(3):
+            q = h @ w[t, 0] + b[t, 0]
+            k = h @ w[t, 1] + b[t, 1]
+            assert np.allclose(scores[t], q @ k.T / math.sqrt(2))
 
     def test_shapes(self):
         docs = small_corpus()
@@ -501,12 +512,11 @@ class TestGradients:
         params2 = init_params(cfg, "el", docs[0].entity_types)
         inst2 = make_instance(docs[0], ocr_order(docs[0]), "el", cfg)
         d = cfg.hidden_dim
-        params2.arrays["q_w0"][:] = 0.0
-        params2.arrays["k_w0"][:] = 0.0
+        params2.arrays["qk_w"][:] = 0.0
         # biases chosen so every score is hugely negative; with an all-zero
         # label grid the loss saturates to ~0
-        params2.arrays["q_b0"][:] = np.full(d, 10.0)
-        params2.arrays["k_b0"][:] = np.full(d, -10.0)
+        params2.arrays["qk_b"][0, 0] = np.full(d, 10.0)
+        params2.arrays["qk_b"][0, 1] = np.full(d, -10.0)
         assert inst2.target.sum() == 0
         loss2, grads2 = task_loss_and_grad(params2, [inst2])
         assert loss2 < 1e-10
@@ -532,8 +542,8 @@ class TestHeadWidth:
 
     def test_types_split_the_hidden_width(self):
         ner = init_params(small_config(hidden_dim=8), "ner", ("a", "b", "c"))
-        assert ner.arrays["q_w2"].shape == ner.arrays["k_w2"].shape == (8, 2)
-        assert ner.arrays["q_b2"].shape == ner.arrays["k_b2"].shape == (2,)
+        assert ner.arrays["qk_w"].shape == (3, 2, 8, 2)
+        assert ner.arrays["qk_b"].shape == (3, 2, 2)
 
     def test_more_types_than_hidden_dim_refused(self):
         with pytest.raises(ValueError, match=r"hidden_dim 2 is smaller than the 3 relation types"):
@@ -548,9 +558,9 @@ class TestHeadWidth:
 
     @pytest.mark.parametrize("task", ["el", "rop"])
     def test_one_type_checkpoints_keep_full_width_heads(self, tmp_path, task):
-        # T = 1 files keep the d x d head layout and their bytes.
+        # T = 1 heads stay d x d, and a file round-trips byte for byte.
         params = init_params(small_config(), task, ("q", "a"))
-        assert params.arrays["q_w0"].shape == params.arrays["k_w0"].shape == (8, 8)
+        assert params.arrays["qk_w"].shape == (1, 2, 8, 8)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(params, str(p1))
         save_checkpoint(load_checkpoint(str(p1)), str(p2))

@@ -126,7 +126,7 @@ class TestTrain:
         cfg = EncoderConfig(hidden_dim=4, vocab_buckets=64, use_1d_position="local",
                             dropout_rate=0.2, multi_dropout_k=2, seed=3)
         params, log = train(docs, "ner", cfg, Hyper(lr=0.05, steps=60, batch_size=4))
-        assert params.arrays["q_w3"].shape == (4, 1)
+        assert params.arrays["qk_w"].shape == (4, 2, 4, 1)
         assert not log.aborted
         assert log.losses[-1] < 0.7 * log.losses[0]
 
