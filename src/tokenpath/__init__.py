@@ -55,6 +55,7 @@ from .metrics import (
 from .scorer import (
     EncoderConfig,
     ModelParams,
+    RowGrad,
     encode,
     global_pointer_scores,
     grid_loss,

@@ -483,6 +483,10 @@ def task_loss_and_grad(
 ):
     """Mean loss over instances and its gradient w.r.t. every parameter.
 
+    Tables read by row index (``tok_emb`` and the 1D position table) get a
+    ``RowGrad`` holding only the rows the instances read; every other array
+    gets a dense gradient of its own shape.
+
     With multi-dropout (train_mode, dropout_rate > 0, K heads) the loss is
     the mean over K dropout-masked copies of the head input; the head
     weights are shared across copies. Masks come from ``rng``, so a caller
@@ -505,8 +509,36 @@ def task_loss(params, instances, *, train_mode=False, rng=None) -> float:
 _GROUP_ROWS = 256
 
 
+@dataclass(frozen=True, slots=True)
+class RowGrad:
+    """The gradient of a table read by row index, as ``nn.Embedding(sparse=True)``
+    gives it: row ``rows[i]`` has gradient ``values[i]`` and every other row
+    has zero. ``rows`` are sorted and unique."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def _row_grad(reads, scale):
+    """``scale`` times the summed gradient of the (row indices, gradient
+    rows) pairs in ``reads``, as one RowGrad: one stable sort of the row
+    indices, then one sum per distinct row."""
+    ids = np.concatenate([idx for idx, _ in reads])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    values = np.add.reduceat(np.concatenate([v for _, v in reads])[order], starts, axis=0)
+    values *= scale
+    return RowGrad(ids[starts], values)
+
+
 def _run_batch(params, instances, train_mode, rng, want_grad):
-    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()} if want_grad else None
+    # Tables read by row index collect (row indices, gradient rows) pairs,
+    # one per group after an empty one, and become a RowGrad at the end; the
+    # rest are dense.
+    row_tables = ("tok_emb", _1D_TABLES[params.config.use_1d_position])
+    grads = {k: [(np.empty(0, np.int64), v[:0])] if k in row_tables else np.zeros_like(v)
+             for k, v in params.arrays.items()} if want_grad else None
     use_masks = train_mode and params.config.dropout_rate > 0.0
     if use_masks and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
@@ -519,8 +551,11 @@ def _run_batch(params, instances, train_mode, rng, want_grad):
                 total += loss
     scale = 1.0 / max(1, len(instances))
     if want_grad:
-        for g in grads.values():
-            g *= scale
+        for name, g in grads.items():
+            if name in row_tables:
+                grads[name] = _row_grad(g, scale)
+            else:
+                g *= scale
     loss = total * scale
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
@@ -544,8 +579,9 @@ def _groups(instances):
 
 def _run_group(params, instances, rng, grads):
     """Loss of each instance, in order; accumulates their gradient into
-    ``grads`` unless None. With an ``rng``, the head reads K dropout-masked
-    copies of its input.
+    ``grads`` unless None, where a table read by row index gets the group's
+    (row indices, gradient rows) pair appended. With an ``rng``, the head
+    reads K dropout-masked copies of its input.
 
     The head rows are stacked as one block per document and dropout copy,
     a document's copies following it. Every product of the encoder, the
@@ -642,9 +678,9 @@ def _run_group(params, instances, rng, grads):
         da = dz @ a[f"enc_w{l}"].T
     dxh = da + dh
     grads["pos2d_w"] += phi.T @ dxh
-    np.add.at(grads["tok_emb"], ids, da)
+    grads["tok_emb"].append((ids, da))
     if pos1d:
-        np.add.at(grads[pos1d[0]], pos1d[1], dxh if cfg.positional_residual else da)
+        grads[pos1d[0]].append((pos1d[1], dxh if cfg.positional_residual else da))
     return losses.tolist()
 
 

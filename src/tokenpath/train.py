@@ -16,6 +16,7 @@ from .core import Document, InputOrder, _integer, _number, ocr_order
 from .scorer import (
     EncoderConfig,
     ModelParams,
+    RowGrad,
     featurize,
     init_params,
     make_instance,
@@ -112,20 +113,24 @@ def train(
                 log.aborted = True
                 log.message = f"aborted at step {step}: {exc}"
                 return spare, log
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            values = [g.values if isinstance(g, RowGrad) else g for g in grads.values()]
+            norm = np.sqrt(sum(float((v * v).sum()) for v in values))
             if hyper.max_grad_norm is not None and norm > hyper.max_grad_norm:
                 log.clipped += 1
                 scale = hyper.max_grad_norm / norm
-                for g in grads.values():
-                    g *= scale
+                for v in values:
+                    v *= scale
             lr = hyper.lr * min(1.0, (step + 1) / warmup_steps)
             for name, arr in params.arrays.items():
-                # out = arr - lr * (grad + weight_decay * arr), in place
+                # out = arr * (1 - lr * weight_decay) - lr * grad: every row
+                # decays, and only a RowGrad's rows take a gradient step.
                 out = spare.arrays[name]
-                np.multiply(arr, hyper.weight_decay, out=out)
-                out += grads[name]
-                out *= lr
-                np.subtract(arr, out, out=out)
+                np.multiply(arr, 1.0 - lr * hyper.weight_decay, out=out)
+                g = grads[name]
+                if isinstance(g, RowGrad):
+                    out[g.rows] -= lr * g.values
+                else:
+                    out -= lr * g
             params, spare = spare, params
             log.losses.append(loss)
             log.lrs.append(lr)

@@ -14,10 +14,12 @@ from tokenpath.scorer import (
     MAX_SEQUENCE,
     EncoderConfig,
     ModelParams,
+    RowGrad,
     encode,
     featurize,
     global_pointer_scores,
     grid_loss,
+    hash_token,
     init_params,
     load_checkpoint,
     make_instance,
@@ -46,8 +48,18 @@ def vector_to_params(params, vec):
     return ModelParams(params.config, params.task, params.entity_types, out)
 
 
+def dense_grad(params, name, grad):
+    """A gradient as an array of its parameter's shape: a RowGrad's rows
+    hold its values and every other row zero."""
+    if not isinstance(grad, RowGrad):
+        return grad
+    out = np.zeros_like(params.arrays[name])
+    out[grad.rows] = grad.values
+    return out
+
+
 def grads_to_vector(params, grads):
-    return np.concatenate([grads[n].ravel() for n in sorted(params.arrays)])
+    return np.concatenate([dense_grad(params, n, grads[n]).ravel() for n in sorted(params.arrays)])
 
 
 def small_corpus(n_docs=4, seed=1, **kw):
@@ -586,7 +598,7 @@ def _sequential_mean(params, instances, **kw):
         li, gi = task_loss_and_grad(params, [inst], **kw)
         loss += li
         for k in grads:
-            grads[k] += gi[k]
+            grads[k] += dense_grad(params, k, gi[k])
     scale = 1.0 / len(instances)
     return loss * scale, {k: g * scale for k, g in grads.items()}
 
@@ -627,6 +639,86 @@ class TestBatchEngine:
         got = task_loss_and_grad(params, insts, train_mode=True, rng=np.random.default_rng(3))
         want = _sequential_mean(params, insts, train_mode=True, rng=np.random.default_rng(3))
         self.assert_same(params, got, want)
+
+
+class TestRowGrad:
+    """Tables read by row index get one RowGrad per batch: the rows the
+    batch read, sorted and unique, with what np.add.at would sum into a
+    dense table."""
+
+    @staticmethod
+    def run(params, insts, monkeypatch):
+        """The batch's gradients, and each RowGrad beside the dense np.add.at
+        sum of the reads it was built from."""
+        built, row_grad = [], scorer_module._row_grad
+
+        def spy(reads, scale):
+            grad = row_grad(reads, scale)
+            width = reads[0][1].shape[1]
+            ref = np.zeros((max(int(idx.max(initial=0)) for idx, _ in reads) + 1, width))
+            for idx, v in reads:
+                np.add.at(ref, idx, v)
+            built.append((grad, ref * scale, np.unique(np.concatenate([i for i, _ in reads]))))
+            return grad
+
+        monkeypatch.setattr(scorer_module, "_row_grad", spy)
+        _, grads = task_loss_and_grad(params, insts)
+        return grads, built
+
+    @staticmethod
+    def assert_matches_add_at(grads, built, tables):
+        assert len(built) == len(tables)
+        assert all(g is grads[name] for (g, _, _), name in zip(built, tables))
+        for grad, ref, read in built:
+            assert np.array_equal(grad.rows, read)  # sorted and unique
+            assert grad.values.shape == (len(read), ref.shape[1])
+            got = np.zeros_like(ref)
+            got[grad.rows] = grad.values
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("group_rows", [20, 256])
+    def test_repeated_ids_sum_like_add_at(self, group_rows, monkeypatch):
+        # Ids repeat inside a group at 256 rows, and across groups at 20.
+        monkeypatch.setattr(scorer_module, "_GROUP_ROWS", group_rows)
+        cfg = small_config(use_1d_position="local")
+        types, insts = _five_instances("ner", cfg)
+        groups = [np.concatenate([inst.features.ids for inst in g])
+                  for g in scorer_module._groups(insts)]
+        if group_rows == 256:
+            assert len(groups) == 1 and len(np.unique(groups[0])) < len(groups[0])
+        else:
+            assert len(groups) > 1
+            assert any(np.intersect1d(a, b).size for a, b in itertools.combinations(groups, 2))
+        grads, built = self.run(init_params(cfg, "ner", types), insts, monkeypatch)
+        self.assert_matches_add_at(grads, built, ("tok_emb", "pos1d_word"))
+        # One row per distinct id of the batch, never a dense table.
+        assert len(grads["tok_emb"].rows) == len(np.unique(np.concatenate(groups)))
+        assert len(grads["tok_emb"].rows) < cfg.vocab_buckets
+
+    @pytest.mark.parametrize("task", ["ner", "rop", "bio"])
+    def test_one_word_document(self, task, monkeypatch):
+        cfg = small_config(use_1d_position="global")
+        doc = gen_corpus(GenConfig(doc_count=1, words_per_doc=(1, 1), seed=4)).documents[0]
+        params = init_params(cfg, task, doc.entity_types)
+        grads, built = self.run(params, [make_instance(doc, ocr_order(doc), task, cfg)],
+                                monkeypatch)
+        self.assert_matches_add_at(grads, built, ("tok_emb", "pos1d"))
+        assert grads["tok_emb"].rows.tolist() == [hash_token(doc.words[0].text, 64)]
+        assert grads["pos1d"].rows.tolist() == [0]
+
+    def test_empty_batch_reads_no_row(self):
+        params = init_params(small_config(use_1d_position="local"), "ner", ("a",))
+        loss, grads = task_loss_and_grad(params, [])
+        assert loss == 0.0
+        for name in ("tok_emb", "pos1d_word"):
+            assert grads[name].rows.size == 0 and grads[name].values.shape == (0, 8)
+
+    def test_finite_differences_every_table_coordinate(self):
+        # Every coordinate of both tables, read and unread rows alike.
+        docs = small_corpus()[:2]
+        cfg = small_config(use_1d_position="local", use_2d_position="segment",
+                           dropout_rate=0.0)
+        assert fd_check("ner", cfg, docs, names=("tok_emb", "pos1d_word")) < 1e-4
 
 
 class TestScoringMatchesTraining:

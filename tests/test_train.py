@@ -7,6 +7,7 @@ from tokenpath.core import ocr_order, replace_order
 from tokenpath.datagen import GenConfig, gen_corpus, shuffle_order
 from tokenpath.scorer import (
     EncoderConfig,
+    RowGrad,
     init_params,
     make_instance,
     task_loss,
@@ -139,7 +140,8 @@ class TestTrain:
                       weight_decay=1e-3, max_grad_norm=clip)
         params, log = train(docs, "ner", cfg, hyper)
         # The same run by hand: each step's global norm before clipping,
-        # then the clip and the update.
+        # then the clip and the update. A RowGrad's values are its norm's
+        # and its clip's; every row decays, and its rows take the step.
         hand = init_params(cfg, "ner", docs[0].entity_types)
         insts = [make_instance(d, ocr_order(d), "ner", cfg) for d in docs]
         batch_rng, _, drop_rng = (np.random.default_rng(s)
@@ -152,14 +154,20 @@ class TestTrain:
                     break
                 batch = [insts[i] for i in perm[lo : lo + hyper.batch_size]]
                 _, grads = task_loss_and_grad(hand, batch, train_mode=True, rng=drop_rng)
-                norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                values = {k: g.values if isinstance(g, RowGrad) else g for k, g in grads.items()}
+                norm = np.sqrt(sum(float((v * v).sum()) for v in values.values()))
                 norms.append(float(norm))
                 if norm > clip:
                     clipped += 1
-                    grads = {k: g * (clip / norm) for k, g in grads.items()}
+                    values = {k: v * (clip / norm) for k, v in values.items()}
                 lr = hyper.lr * min(1.0, len(norms) / 3)
                 for k, arr in hand.arrays.items():
-                    hand.arrays[k] = arr - lr * (grads[k] + hyper.weight_decay * arr)
+                    out = arr * (1 - lr * hyper.weight_decay)
+                    if isinstance(grads[k], RowGrad):
+                        out[grads[k].rows] -= lr * values[k]
+                    else:
+                        out -= lr * values[k]
+                    hand.arrays[k] = out
         assert log.grad_norms == norms
         assert log.clipped == clipped
         assert 0 < clipped < hyper.steps
@@ -169,6 +177,28 @@ class TestTrain:
         assert free.clipped == 0
         assert len(free.grad_norms) == hyper.steps
         assert free.grad_norms[0] == norms[0]
+
+    def test_unread_table_rows_only_decay(self):
+        # One step on the whole corpus: a row of tok_emb or of the 1D table
+        # that no word read is its initial value times (1 - lr * weight_decay),
+        # bit for bit; a row that a word read also takes a gradient step.
+        docs = toy_docs(4)
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="local",
+                            dropout_rate=0.0, multi_dropout_k=1, seed=4)
+        hyper = Hyper(lr=0.1, steps=1, batch_size=len(docs), weight_decay=0.01)
+        params, log = train(docs, "ner", cfg, hyper)
+        start = init_params(cfg, "ner", docs[0].entity_types)
+        insts = [make_instance(d, ocr_order(d), "ner", cfg) for d in docs]
+        read = {"tok_emb": np.unique(np.concatenate([inst.features.ids for inst in insts])),
+                "pos1d_word": np.arange(max(len(s.word_indices) for d in docs
+                                            for s in d.segments))}
+        assert log.lrs == [hyper.lr]
+        for name, rows in read.items():
+            unread = np.setdiff1d(np.arange(len(start.arrays[name])), rows)
+            assert 0 < len(unread) and 0 < len(rows)
+            decayed = start.arrays[name] * (1 - hyper.lr * hyper.weight_decay)
+            assert np.array_equal(params.arrays[name][unread], decayed[unread])
+            assert not np.any(np.all(params.arrays[name][rows] == decayed[rows], axis=1))
 
     def test_log_record(self):
         log = TrainLog(losses=[1.0], lrs=[0.1], aborted=False, message="")
