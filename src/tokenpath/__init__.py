@@ -56,8 +56,6 @@ from .scorer import (
     EncoderConfig,
     ModelParams,
     RowGrad,
-    encode,
-    global_pointer_scores,
     grid_loss,
     init_params,
     load_checkpoint,

@@ -35,12 +35,13 @@ and rop's single full-width head. A pair score is q_i . k_j / sqrt(e). The
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,8 +72,8 @@ class EncoderConfig:
     use_1d_position: str = "none"
     use_2d_position: str = "word"
     mlp_layers: int = 2
-    dropout_rate: float = 0.1
-    multi_dropout_k: int = 4
+    dropout_rate: float = 0.0
+    multi_dropout_k: int = 1
     positional_residual: bool = False
     seed: int = 0
 
@@ -231,11 +232,13 @@ def _rank_indices(feats: Sequence[DocFeatures], orders: Sequence[InputOrder], mo
 # Forward pass
 # ---------------------------------------------------------------------------
 # Training stacks the rows of several documents, in document order, and runs
-# the encoder, the head projections and their backward products once on the
-# stack. Only the pair-score products and their gradients run per document,
-# since each document's grid has its own size. Sums over rows then run in
-# another order than for a document alone, so a batch gives the mean of its
-# documents' losses and gradients up to float64 rounding, not bit for bit.
+# the encoder, the task head (``_head_forward``) and their backward products
+# once on the stack; decoding (``score_document``) runs the same functions on
+# one document. Only the pair-score products and their gradients run per
+# document, since each document's grid has its own size. Sums over rows then
+# run in another order than for a document alone, so a batch gives the mean
+# of its documents' losses and gradients up to float64 rounding, not bit for
+# bit.
 
 
 def _pos1d_rows(params: ModelParams, feats: Sequence[DocFeatures], orders: Sequence[InputOrder]):
@@ -250,19 +253,6 @@ def _pos1d_rows(params: ModelParams, feats: Sequence[DocFeatures], orders: Seque
         raise ValueError(f"{mode} 1D position {top} is past the {MAX_SEQUENCE}-row "
                          f"table: max sequence is {MAX_SEQUENCE}")
     return _1D_TABLES[mode], idx
-
-
-def encode(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
-    """Hidden states, shape (n, hidden_dim); row i belongs to word i.
-
-    Deterministic: the toy encoder carries no internal noise, regularization
-    noise lives in the output heads (see multi-dropout in the loss functions).
-    Only the 1D position table caps the length: a rank of ``MAX_SEQUENCE``
-    or more raises ``ValueError``, so "global" takes documents of at most
-    that many words and "local" segments of at most that many.
-    """
-    h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
-    return h
 
 
 def _encoder_forward(
@@ -295,30 +285,6 @@ def _encoder_forward(
     return h, (ids, phi, acts, pos1d)
 
 
-def _queries_keys(rows: np.ndarray, params: ModelParams) -> np.ndarray:
-    """(T, 2, rows, e): every pair head applied to stacked head rows;
-    [t, 0] holds type t's queries and [t, 1] its keys."""
-    qk = rows @ params.arrays["qk_w"]
-    qk += params.arrays["qk_b"][:, :, None]
-    return qk
-
-
-def _pair_products(q: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
-    """q[t, i] . k[t, j] for one document's rows, into ``out`` if given; a
-    pair score is this product over sqrt(e), e the head width."""
-    return np.matmul(q, k.transpose(0, 2, 1), out=out)
-
-
-def global_pointer_scores(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Bilinear pair scores, shape (n_relations, m, m) where m = h rows."""
-    if h.size == 0:
-        raise ValueError("empty hidden states")
-    qk = _queries_keys(h, params)
-    scores = _pair_products(qk[:, 0], qk[:, 1])
-    scores /= np.sqrt(qk.shape[-1])
-    return scores
-
-
 def _head_input(h: np.ndarray, offsets: np.ndarray, params: ModelParams):
     """The rows the task head reads and each document's row offsets in
     them: for rop, the auxiliary start node ``aux_emb`` goes first in each
@@ -331,35 +297,64 @@ def _head_input(h: np.ndarray, offsets: np.ndarray, params: ModelParams):
     return h, offsets
 
 
-def _bio_logits(hc: np.ndarray, before: np.ndarray, after: np.ndarray,
-                a: Mapping[str, np.ndarray]):
-    """Tag logits per row from the row and its predecessor and successor
-    along the input order, where row ``before[p]`` directly precedes row
-    ``after[p]``; plus those neighbour rows (zero where a row has none) for
-    the backward pass."""
-    prev = np.zeros_like(hc)
-    nxt = np.zeros_like(hc)
-    prev[after] = hc[before]
-    nxt[before] = hc[after]
-    logits = hc @ a["cls_w"] + prev @ a["cls_wp"] + nxt @ a["cls_wn"] + a["cls_b"]
-    return logits, prev, nxt
+def _head_forward(params: ModelParams, rows: np.ndarray, blocks, orders: Sequence[InputOrder]):
+    """The task head on head rows stacked in blocks: block b is rows
+    ``lo:lo + m`` for ``(lo, m) = blocks[b]``, read along ``orders[b]``.
+
+    Grid tasks: every block's (T, m, m) pair scores q_i . k_j / sqrt(e),
+    raveled end to end, and for the backward pass ``(qk, at)``: the
+    (T, 2, rows, e) queries ([t, 0]) and keys ([t, 1]), and block b's
+    start ``at[b]`` in the scores.
+
+    bio: (rows, n_tags) tag logits from each row and its predecessor and
+    successor along its block's order, and ``(before, after, prev, nxt)``:
+    row ``before[p]`` directly precedes row ``after[p]``, and prev/nxt hold
+    each row's neighbour rows (zero where it has none).
+    """
+    a = params.arrays
+    if params.task == "bio":
+        # Neighbour pairs along each block's order; none crosses a block.
+        perms = [np.asarray(o.perm) for o in orders]
+        before = np.concatenate([lo + p[:-1] for (lo, _), p in zip(blocks, perms)])
+        after = np.concatenate([lo + p[1:] for (lo, _), p in zip(blocks, perms)])
+        prev = np.zeros_like(rows)
+        nxt = np.zeros_like(rows)
+        prev[after] = rows[before]
+        nxt[before] = rows[after]
+        logits = rows @ a["cls_w"] + prev @ a["cls_wp"] + nxt @ a["cls_wn"] + a["cls_b"]
+        return logits, (before, after, prev, nxt)
+    n_rel = params.n_relations
+    qk = rows @ a["qk_w"]
+    qk += a["qk_b"][:, :, None]
+    at = list(itertools.accumulate((n_rel * m * m for _, m in blocks), initial=0))
+    s = np.empty(at[-1])
+    for b, (lo, m) in enumerate(blocks):
+        np.matmul(qk[:, 0, lo : lo + m], qk[:, 1, lo : lo + m].transpose(0, 2, 1),
+                  out=s[at[b] : at[b + 1]].reshape(n_rel, m, m))
+    s /= np.sqrt(qk.shape[-1])
+    return s, (qk, at)
 
 
 def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
-    """Eval-mode model output for one document.
+    """Eval-mode model output for one document: the training forward of
+    ``_run_group`` on the document alone, without dropout.
 
     ner/el: (n_relations, n, n) score grids over word indices.
     rop:    (n+1, n+1) grid; node 0 is the auxiliary start, node i+1 word i.
     bio:    (n, n_tags) classification logits per word, each read from the
             word and its neighbours along ``order``.
+
+    Only the 1D position table caps the length: a rank of ``MAX_SEQUENCE``
+    or more raises ``ValueError``, so "global" takes documents of at most
+    that many words and "local" segments of at most that many.
     """
-    h = encode(doc, order, params)
-    if params.task == "bio":
-        perm = np.asarray(order.perm)
-        return _bio_logits(h, perm[:-1], perm[1:], params.arrays)[0]
+    h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
     rows, _ = _head_input(h, np.array([0, len(h)]), params)
-    scores = global_pointer_scores(rows, params)
-    return scores[0] if params.task == "rop" else scores
+    out, _ = _head_forward(params, rows, [(0, len(rows))], [order])
+    if params.task == "bio":
+        return out
+    m = len(rows)
+    return out.reshape((m, m) if params.task == "rop" else (-1, m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -609,16 +604,12 @@ def _run_group(params, instances, rng, grads):
         mscale = (rng.random((len(take), d)) < keep) / keep
         hc *= mscale
     blocks = list(zip(row_at[:-1].tolist(), ms.tolist()))
+    out, saved = _head_forward(params, hc, blocks,
+                               [inst.order for inst in instances for _ in range(n_copies)])
     if params.task != "bio":
-        qk = _queries_keys(hc, params)
-        at = np.concatenate(([0], np.cumsum(n_rel * ms * ms))).tolist()
-        s = np.empty(at[-1])
-        for b, (lo, m) in enumerate(blocks):
-            _pair_products(qk[:, 0, lo : lo + m], qk[:, 1, lo : lo + m],
-                           out=s[at[b] : at[b + 1]].reshape(n_rel, m, m))
-        s /= np.sqrt(qk.shape[-1])
+        qk, at = saved
         pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
-        terms, ds = _flat_grid_loss(s, pos, np.repeat(ms * ms, n_rel), grads is not None)
+        terms, ds = _flat_grid_loss(out, pos, np.repeat(ms * ms, n_rel), grads is not None)
         # A document's loss: its copies' grid losses, summed, over the copies.
         losses = terms.reshape(len(instances), -1).sum(axis=1) / n_copies
         if grads is None:
@@ -633,15 +624,11 @@ def _run_group(params, instances, rng, grads):
         grads["qk_b"] += dqk.sum(axis=2)
         dhc = (dqk @ a["qk_w"].transpose(0, 1, 3, 2)).sum(axis=(0, 1))
     else:
-        # Neighbour pairs along each block's order; none crosses a block.
-        perms = [np.asarray(inst.order.perm) for inst in instances for _ in range(n_copies)]
-        before = np.concatenate([lo + p[:-1] for (lo, _), p in zip(blocks, perms)])
-        after = np.concatenate([lo + p[1:] for (lo, _), p in zip(blocks, perms)])
-        logits, prev, nxt = _bio_logits(hc, before, after, a)
+        before, after, prev, nxt = saved
         # A row weighs 1 / (words * copies): a document's loss is the mean
         # over its copies of the mean cross-entropy over its words.
         targets = np.concatenate([inst.target for inst in instances])[take]
-        ce, dlogits = _softmax_ce_grad(logits, targets, np.repeat(1.0 / (ms * n_copies), ms))
+        ce, dlogits = _softmax_ce_grad(out, targets, np.repeat(1.0 / (ms * n_copies), ms))
         doc_of_row = np.repeat(np.arange(len(ms)) // n_copies, ms)
         losses = np.bincount(doc_of_row, weights=ce, minlength=len(instances))
         if grads is None:

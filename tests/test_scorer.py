@@ -15,9 +15,7 @@ from tokenpath.scorer import (
     EncoderConfig,
     ModelParams,
     RowGrad,
-    encode,
     featurize,
-    global_pointer_scores,
     grid_loss,
     hash_token,
     init_params,
@@ -77,7 +75,9 @@ def long_doc(n, segment_words=None):
 
 
 def small_config(**kw):
-    defaults = dict(hidden_dim=8, vocab_buckets=64, seed=3)
+    # Dropout on, K = 4 copies, unless a test says otherwise, so the gradient
+    # and batching checks run the dropout path.
+    defaults = dict(hidden_dim=8, vocab_buckets=64, dropout_rate=0.1, multi_dropout_k=4, seed=3)
     defaults.update(kw)
     return EncoderConfig(**defaults)
 
@@ -106,15 +106,25 @@ class TestEncoderConfig:
         assert EncoderConfig(**asdict(cfg)) == cfg
 
 
+def hidden_rows(doc, order, params):
+    """The encoder's hidden states of one document; row i belongs to word i."""
+    h, _ = scorer_module._encoder_forward([featurize(doc, params.config)], [order], params)
+    return h
+
+
 class TestEncode:
+    """The encoder, read through ``score_document`` and, where a test needs
+    the hidden rows themselves, through ``_encoder_forward``."""
+
     def test_output_shape(self):
         docs = small_corpus()
         cfg = small_config(hidden_dim=64)
         params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
-        h = encode(doc, ocr_order(doc), params)
+        h = hidden_rows(doc, ocr_order(doc), params)
         assert h.shape == (doc.n_words, 64)
         assert np.isfinite(h).all()
+        assert np.isfinite(score_document(doc, ocr_order(doc), params)).all()
 
     def test_order_free_config_ignores_order(self):
         docs = small_corpus()
@@ -122,10 +132,10 @@ class TestEncode:
         params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
         rng = np.random.default_rng(0)
-        base = encode(doc, ocr_order(doc), params)
+        base = score_document(doc, ocr_order(doc), params)
         for _ in range(5):
             perm = InputOrder(tuple(int(i) for i in rng.permutation(doc.n_words)))
-            assert np.array_equal(encode(doc, perm, params), base)
+            assert np.array_equal(score_document(doc, perm, params), base)
 
     def test_positional_rows_follow_words_not_positions(self):
         # Row i belongs to word i: with global 1D on, permuting the order
@@ -135,7 +145,7 @@ class TestEncode:
         params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
         order = ocr_order(doc)
-        h = encode(doc, order, params)
+        h = hidden_rows(doc, order, params)
         # Rebuild by hand for word w: rank = inverse[w]
         inv = order.inverse()
         feats = featurize(doc, cfg)
@@ -153,9 +163,9 @@ class TestEncode:
         cfg = small_config()
         params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
-        h1 = encode(doc, ocr_order(doc), params)
-        h2 = encode(doc, ocr_order(doc), params)
-        assert np.array_equal(h1, h2)
+        s1 = score_document(doc, ocr_order(doc), params)
+        s2 = score_document(doc, ocr_order(doc), params)
+        assert np.array_equal(s1, s2)
 
     def test_max_sequence_enforced(self):
         # One segment of 512 words fills the table and the 513th word's rank
@@ -163,16 +173,16 @@ class TestEncode:
         # "local".
         fits, doc = long_doc(MAX_SEQUENCE), long_doc(MAX_SEQUENCE + 1)
         for mode in ("global", "local"):
-            params = init_params(small_config(use_1d_position=mode), "ner", doc.entity_types)
-            assert encode(fits, ocr_order(fits), params).shape == (MAX_SEQUENCE, 8)
+            params = init_params(small_config(use_1d_position=mode), "el", doc.entity_types)
+            assert score_document(fits, ocr_order(fits), params).shape == (1, MAX_SEQUENCE, MAX_SEQUENCE)
             with pytest.raises(ValueError, match="max sequence"):
-                encode(doc, InputOrder(tuple(range(doc.n_words))), params)
+                score_document(doc, InputOrder(tuple(range(doc.n_words))), params)
 
     @pytest.mark.parametrize("task", ["ner", "rop"])
     def test_local_positions_cap_segments_not_documents(self, task):
         doc = long_doc(600, segment_words=60)
         params = init_params(small_config(use_1d_position="local"), task, doc.entity_types)
-        assert encode(doc, ocr_order(doc), params).shape == (600, params.config.hidden_dim)
+        assert score_document(doc, ocr_order(doc), params).shape[-1] == 600 + (task == "rop")
         pred = decode_document(doc, params)
         if task == "rop":
             assert sorted(pred.predicted_order) == list(range(600))
@@ -184,7 +194,7 @@ class TestEncode:
         # Only the 1D position tables have MAX_SEQUENCE rows.
         doc = long_doc(600)
         params = init_params(small_config(use_1d_position="none"), task, doc.entity_types)
-        assert encode(doc, ocr_order(doc), params).shape == (600, params.config.hidden_dim)
+        assert score_document(doc, ocr_order(doc), params).shape[-1] == 600 + (task == "rop")
         pred = decode_document(doc, params)
         if task == "rop":
             assert sorted(pred.predicted_order) == list(range(600))
@@ -193,47 +203,53 @@ class TestEncode:
 
 
 class TestGlobalPointerScores:
+    """The pair-score head, q_i . k_j / sqrt(e) per relation type, read
+    through ``score_document``."""
+
     def test_closed_form_with_zero_weights(self):
+        # With zero head weights every query and key is the head's bias,
+        # whatever the hidden rows hold.
+        doc = small_corpus()[0]
         cfg = small_config()
         params = init_params(cfg, "el", ("q", "a"))
         d = cfg.hidden_dim
         u = np.arange(1.0, d + 1.0) / d
         params.arrays["qk_w"][:] = 0.0
         params.arrays["qk_b"][:] = u
-        h = np.zeros((5, d))
-        scores = global_pointer_scores(h, params)
+        scores = score_document(doc, ocr_order(doc), params)
         expected = float(u @ u) / math.sqrt(d)
+        assert scores.shape == (1, doc.n_words, doc.n_words)
         assert np.allclose(scores, expected)
 
     def test_stacked_heads_are_query_then_key_per_type(self):
         # qk_w[t, 0] / qk_b[t, 0] is type t's query head, [t, 1] its key head.
+        doc = small_corpus()[0]
         params = init_params(small_config(hidden_dim=6), "ner", ("a", "b", "c"))
         w, b = params.arrays["qk_w"], params.arrays["qk_b"]
         b[:] = np.random.default_rng(0).normal(size=b.shape)
-        h = np.random.default_rng(1).normal(size=(5, 6))
-        scores = global_pointer_scores(h, params)
-        assert scores.shape == (3, 5, 5)
+        h = hidden_rows(doc, ocr_order(doc), params)
+        scores = score_document(doc, ocr_order(doc), params)
+        assert scores.shape == (3, doc.n_words, doc.n_words)
         for t in range(3):
             q = h @ w[t, 0] + b[t, 0]
             k = h @ w[t, 1] + b[t, 1]
-            assert np.allclose(scores[t], q @ k.T / math.sqrt(2))
+            assert np.allclose(scores[t], q @ k.T / math.sqrt(w.shape[-1]))
 
     def test_shapes(self):
         docs = small_corpus()
-        cfg = small_config()
-        params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
-        h = encode(doc, ocr_order(doc), params)
-        scores = global_pointer_scores(h, params)
-        assert scores.shape == (3, doc.n_words, doc.n_words)
+        n, n_tags = doc.n_words, 2 * len(doc.entity_types) + 1
+        want = {"ner": (3, n, n), "el": (1, n, n), "rop": (n + 1, n + 1), "bio": (n, n_tags)}
+        for task, shape in want.items():
+            params = init_params(small_config(), task, doc.entity_types)
+            assert score_document(doc, ocr_order(doc), params).shape == shape
 
     def test_not_antisymmetric(self):
         docs = small_corpus()
         cfg = small_config()
         params = init_params(cfg, "el", docs[0].entity_types)
         doc = docs[0]
-        h = encode(doc, ocr_order(doc), params)
-        s = global_pointer_scores(h, params)[0]
+        s = score_document(doc, ocr_order(doc), params)[0]
         assert not np.allclose(s, s.T)
 
     def test_order_free_scores_match_under_relabeling(self):
@@ -244,12 +260,10 @@ class TestGlobalPointerScores:
         params = init_params(cfg, "ner", docs[0].entity_types)
         doc = docs[0]
         rng = np.random.default_rng(7)
-        s_word = global_pointer_scores(encode(doc, ocr_order(doc), params), params)
+        s_word = score_document(doc, ocr_order(doc), params)
         for _ in range(5):
             perm = tuple(int(i) for i in rng.permutation(doc.n_words))
-            order = InputOrder(perm)
-            h = encode(doc, order, params)
-            s_again = global_pointer_scores(h, params)
+            s_again = score_document(doc, InputOrder(perm), params)
             idx = np.asarray(perm)
             s_pos = s_again[:, idx[:, None], idx[None, :]]
             expected = s_word[:, idx[:, None], idx[None, :]]
@@ -726,7 +740,9 @@ class TestScoringMatchesTraining:
 
     @staticmethod
     def instances(task):
-        docs = small_corpus()
+        # Four documents of 6-10 words and a one-word document.
+        one_word = gen_corpus(GenConfig(doc_count=1, words_per_doc=(1, 1), seed=4)).documents[0]
+        docs = [*small_corpus(), one_word]
         cfg = small_config(use_1d_position="global", dropout_rate=0.0)
         params = init_params(cfg, task, docs[0].entity_types)
         rng = np.random.default_rng(5)
@@ -734,19 +750,34 @@ class TestScoringMatchesTraining:
             order = InputOrder(tuple(int(i) for i in rng.permutation(doc.n_words)))
             yield params, doc, order, make_instance(doc, order, task, cfg)
 
+    @staticmethod
+    def scored_loss(params, doc, order, inst):
+        """One document's training loss, computed from ``score_document``."""
+        out = score_document(doc, order, params)
+        if params.task != "bio":
+            return grid_loss(out.reshape(inst.target.shape), inst.target)
+        z = out - out.max(axis=1, keepdims=True)
+        rows = np.arange(doc.n_words)
+        return -float(np.mean(z[rows, inst.target] - np.log(np.exp(z).sum(axis=1))))
+
     @pytest.mark.parametrize("task", ["ner", "el", "rop"])
     def test_grid_loss_of_scores_is_the_training_loss(self, task):
         for params, doc, order, inst in self.instances(task):
-            scores = score_document(doc, order, params).reshape(inst.target.shape)
-            assert grid_loss(scores, inst.target) == task_loss(params, [inst])
+            assert self.scored_loss(params, doc, order, inst) == task_loss(params, [inst])
 
     def test_bio_cross_entropy_of_logits_is_the_training_loss(self):
         for params, doc, order, inst in self.instances("bio"):
-            logits = score_document(doc, order, params)
-            z = logits - logits.max(axis=1, keepdims=True)
-            rows = np.arange(doc.n_words)
-            ce = -float(np.mean(z[rows, inst.target] - np.log(np.exp(z).sum(axis=1))))
+            ce = self.scored_loss(params, doc, order, inst)
             assert ce == pytest.approx(task_loss(params, [inst]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
+    def test_group_loss_is_the_mean_of_scored_losses(self, task):
+        # All five documents run as one stacked group.
+        docs = list(self.instances(task))
+        params, insts = docs[0][0], [inst for *_, inst in docs]
+        assert len(list(scorer_module._groups(insts))) == 1
+        want = np.mean([self.scored_loss(*doc) for doc in docs])
+        assert task_loss(params, insts) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCheckpoint:
