@@ -128,15 +128,15 @@ def _load_corpus_checked(path: str) -> Corpus:
     return corpus
 
 
-def _split_docs(corpus: Corpus, split: str, task: str | None = None) -> tuple[Document, ...]:
-    """The documents of ``split``; for ``task`` "rop", which trains on and
-    is scored against gold orders, each must hold one."""
+def _split_docs(corpus: Corpus, split: str, gold_orders: bool = False) -> tuple[Document, ...]:
+    """The documents of ``split``; with ``gold_orders``, as a reading-order
+    task trains on and is scored against them, each must hold one."""
     if split not in corpus.splits:
         raise CliError(f"corpus has no split {split!r}; has {sorted(corpus.splits)}")
     docs = corpus.split(split)
     if not docs:
         raise CliError(f"split {split!r} is empty")
-    lacking = [doc.id for doc in docs if task == "rop" and doc.gold_order is None]
+    lacking = [doc.id for doc in docs if gold_orders and doc.gold_order is None]
     if lacking:
         raise CliError(f"document {lacking[0]} lacks gold_order")
     return docs
@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     config: EncoderConfig = build_section(raw, "encoder", overrides)
     hyper: Hyper = build_section(raw, "train")
     corpus = _load_corpus_checked(args.corpus)
-    docs = _split_docs(corpus, "train", args.task)
+    docs = _split_docs(corpus, "train", TASKS[args.task].reading_order)
     params, log = train(docs, args.task, config, hyper)
     run_config = {"task": args.task, "encoder": asdict(config), "train": asdict(hyper)}
     with _staged(args.out, run_config) as tmp:
@@ -291,24 +291,21 @@ def _load_predictions(directory: str, docs: Sequence[Document], field: str) -> l
     return found
 
 
-# The prediction field that ``tokenpath eval`` scores, per task.
-_EVAL_FIELDS = {"ner": "entities", "bio": "entities", "el": "links", "rop": "predicted_order"}
-
-
 def cmd_eval(args) -> int:
     corpus = _load_corpus_checked(args.corpus)
-    docs = _split_docs(corpus, args.split, args.task)
-    preds = _load_predictions(args.predictions, docs, _EVAL_FIELDS[args.task])
+    task = TASKS[args.task]
+    docs = _split_docs(corpus, args.split, task.reading_order)
+    preds = _load_predictions(args.predictions, docs, task.field)
     pairs = list(zip(docs, preds))
     # Each document is scored on its own and the counts summed: entity and
     # word keys hold word ids, which collide across documents.
-    if args.task == "el":
+    if task.field == "links":
         rep = metrics.sum_reports(
             [metrics.link_f1(doc.entities, got, doc.entities, doc.links) for doc, got in pairs])
         report = {"precision": rep.precision, "recall": rep.recall, "f1": rep.f1, "links": rep.gold}
         print(f"link precision {rep.precision:.4f} recall {rep.recall:.4f} f1 {rep.f1:.4f} "
               f"(gold links: {rep.gold})")
-    elif args.task == "rop":
+    elif task.field == "predicted_order":
         bleu = float(np.mean([metrics.page_bleu(got, doc.gold_order) for doc, got in pairs]))
         ard = float(np.mean([metrics.ard(got, doc.gold_order) for doc, got in pairs]))
         report = {"bleu": bleu, "ard": ard, "pages": len(docs)}

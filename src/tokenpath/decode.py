@@ -16,7 +16,7 @@ import numpy as np
 from .core import (Document, Entity, InputOrder, _entity_from_record, _entity_record,
                    _indices, _integer, _links_from_record, _number, _real, ocr_order)
 from .labels import bio_decode
-from .scorer import ModelParams, score_document
+from .scorer import TASKS, ModelParams, score_document
 
 
 @dataclass(frozen=True)
@@ -263,14 +263,13 @@ def decode_document(
         )
     output = score_document(doc, order, params)
     if params.task == "ner":
-        return Prediction(doc.id, entities=tuple(ner_decode(output, config)))
-    if params.task == "el":
-        return Prediction(doc.id, links=tuple(el_decode(output[0], doc.entities)))
-    if params.task == "rop":
-        return Prediction(doc.id, predicted_order=rop_decode(output, config))
-    _reject_nan(output, "bio logit array")
-    ents = bio_decode(output.argmax(axis=1), order, params.entity_types)
-    return Prediction(
-        doc.id,
-        entities=tuple(DecodedEntity(e.type_id, e.word_indices, 0.0) for e in ents),
-    )
+        value = tuple(ner_decode(output, config))
+    elif params.task == "el":
+        value = tuple(el_decode(output[0], doc.entities))
+    elif params.task == "rop":
+        value = rop_decode(output, config)
+    else:
+        _reject_nan(output, "bio logit array")
+        ents = bio_decode(output.argmax(axis=1), order, params.entity_types)
+        value = tuple(DecodedEntity(e.type_id, e.word_indices, 0.0) for e in ents)
+    return Prediction(doc.id, **{TASKS[params.task].field: value})

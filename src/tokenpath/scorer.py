@@ -41,7 +41,7 @@ import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,8 +56,6 @@ _OLD_MAGICS = (b"TPPCKPT1",)
 _FREQS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 # 8 plain box columns, then a sin and a cos per frequency of cx, cy, x0, x1.
 N_BOX_FEATURES = 8 + 2 * 4 * len(_FREQS)
-
-TASKS = ("ner", "el", "rop", "bio")
 
 # Each 1D position mode's table, if any (see the module docstring).
 _1D_TABLES = {"none": None, "global": "pos1d", "local": "pos1d_word"}
@@ -91,14 +89,27 @@ class EncoderConfig:
             raise ValueError(f"use_2d_position must be one of {_2D_MODES}")
 
 
-def relation_count(task: str, n_types: int) -> int:
-    if task == "ner":
-        return n_types
-    if task in ("el", "rop"):
-        return 1
-    if task == "bio":
-        return 0
-    raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
+@dataclass(frozen=True)
+class _Task:
+    relations: Callable  # entity types -> pair-head relation types; 0: the BIO classifier
+    target: Callable  # (doc, order) -> TaskInstance.target
+    field: str  # the Prediction field that decoding fills and ``tokenpath eval`` scores
+    reading_order: bool = False  # head reads start node aux_emb; trains and scores on gold orders
+
+
+TASKS = {
+    "ner": _Task(len, lambda doc, order: labels_mod.ner_grids(doc), "entities"),
+    "el": _Task(lambda types: 1, lambda doc, order: labels_mod.el_grid(doc)[None], "links"),
+    "rop": _Task(lambda types: 1, lambda doc, order: labels_mod.rop_grid(
+        doc, InputOrder(doc.gold_order))[None], "predicted_order", reading_order=True),
+    "bio": _Task(lambda types: 0, labels_mod.bio_encode, "entities"),
+}
+
+
+def _task(task: str) -> _Task:
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}, expected one of {tuple(TASKS)}")
+    return TASKS[task]
 
 
 @dataclass
@@ -116,7 +127,7 @@ class ModelParams:
 
     @property
     def n_relations(self) -> int:
-        return relation_count(self.task, len(self.entity_types))
+        return _task(self.task).relations(self.entity_types)
 
 
 def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
@@ -134,7 +145,7 @@ def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
     for l in range(config.mlp_layers):
         table[f"enc_w{l}"] = ((d, d), w)
         table[f"enc_b{l}"] = ((d,), 0.0)
-    n_rel = relation_count(task, len(entity_types))
+    n_rel = _task(task).relations(entity_types)
     if n_rel > d:
         raise ValueError(f"hidden_dim {d} is smaller than the {n_rel} relation types of a "
                          f"{task!r} model: each type's pair head is hidden_dim // {n_rel} wide")
@@ -143,9 +154,9 @@ def _param_table(config: EncoderConfig, task: str, entity_types: Sequence[str]):
         e = d // n_rel
         table["qk_w"] = ((n_rel, 2, d, e), w)
         table["qk_b"] = ((n_rel, 2, e), 0.0)
-    if task == "rop":
+    if TASKS[task].reading_order:
         table["aux_emb"] = ((d,), 0.5)
-    if task == "bio":
+    if not n_rel:
         n_tags = len(labels_mod.bio_tag_names(entity_types))
         for name in ("cls_w", "cls_wp", "cls_wn"):
             table[name] = ((d, n_tags), w)
@@ -196,6 +207,8 @@ class DocFeatures:
 
 def featurize(doc: Document, config: EncoderConfig) -> DocFeatures:
     n = doc.n_words
+    if not n:
+        raise ValueError(f"doc {doc.id} has no words")
     ids = np.array([hash_token(w.text, config.vocab_buckets) for w in doc.words])
     seg_of = np.zeros(n, dtype=np.int64)
     for si, seg in enumerate(doc.segments):
@@ -287,9 +300,9 @@ def _encoder_forward(
 
 def _head_input(h: np.ndarray, offsets: np.ndarray, params: ModelParams):
     """The rows the task head reads and each document's row offsets in
-    them: for rop, the auxiliary start node ``aux_emb`` goes first in each
-    document, so its row i+1 is word i."""
-    if params.task == "rop":
+    them: for a reading-order task, the auxiliary start node ``aux_emb``
+    goes first in each document, so its row i+1 is word i."""
+    if TASKS[params.task].reading_order:
         aux = params.arrays["aux_emb"][None]
         spans = zip(offsets[:-1], offsets[1:])
         rows = np.concatenate([r for lo, hi in spans for r in (aux, h[lo:hi])])
@@ -312,7 +325,8 @@ def _head_forward(params: ModelParams, rows: np.ndarray, blocks, orders: Sequenc
     each row's neighbour rows (zero where it has none).
     """
     a = params.arrays
-    if params.task == "bio":
+    n_rel = params.n_relations
+    if not n_rel:
         # Neighbour pairs along each block's order; none crosses a block.
         perms = [np.asarray(o.perm) for o in orders]
         before = np.concatenate([lo + p[:-1] for (lo, _), p in zip(blocks, perms)])
@@ -323,7 +337,6 @@ def _head_forward(params: ModelParams, rows: np.ndarray, blocks, orders: Sequenc
         nxt[before] = rows[after]
         logits = rows @ a["cls_w"] + prev @ a["cls_wp"] + nxt @ a["cls_wn"] + a["cls_b"]
         return logits, (before, after, prev, nxt)
-    n_rel = params.n_relations
     qk = rows @ a["qk_w"]
     qk += a["qk_b"][:, :, None]
     at = list(itertools.accumulate((n_rel * m * m for _, m in blocks), initial=0))
@@ -351,10 +364,10 @@ def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.
     h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
     rows, _ = _head_input(h, np.array([0, len(h)]), params)
     out, _ = _head_forward(params, rows, [(0, len(rows))], [order])
-    if params.task == "bio":
+    if not params.n_relations:
         return out
     m = len(rows)
-    return out.reshape((m, m) if params.task == "rop" else (-1, m, m))
+    return out.reshape((m, m) if TASKS[params.task].reading_order else (-1, m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +449,7 @@ def _softmax_ce_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarra
 class TaskInstance:
     """One document prepared for one task: features, order, and targets.
 
-    ``target`` is (T, n, n) bool for ner/el, (n+1, n+1) bool for rop, and a
+    ``target`` is (T, n, n) bool for ner/el, (1, n+1, n+1) bool for rop, and a
     (n,) int tag-id vector for bio. Grid targets are in word-index space,
     matching the score grids.
     """
@@ -454,19 +467,10 @@ def make_instance(
     features: DocFeatures | None = None,
 ) -> TaskInstance:
     feats = features if features is not None else featurize(doc, params_config)
-    if task == "ner":
-        target = labels_mod.ner_grids(doc)
-    elif task == "el":
-        target = labels_mod.el_grid(doc)[None, :, :]
-    elif task == "rop":
-        if doc.gold_order is None:
-            raise ValueError(f"doc {doc.id} has no gold order; cannot build rop target")
-        target = labels_mod.rop_grid(doc, InputOrder(doc.gold_order))[None, :, :]
-    elif task == "bio":
-        target = labels_mod.bio_encode(doc, order)
-    else:
-        raise ValueError(f"unknown task {task!r}")
-    return TaskInstance(features=feats, order=order, target=target)
+    row = _task(task)
+    if row.reading_order and doc.gold_order is None:
+        raise ValueError(f"doc {doc.id} has no gold order; cannot build {task} target")
+    return TaskInstance(features=feats, order=order, target=row.target(doc, order))
 
 
 def task_loss_and_grad(
@@ -606,7 +610,7 @@ def _run_group(params, instances, rng, grads):
     blocks = list(zip(row_at[:-1].tolist(), ms.tolist()))
     out, saved = _head_forward(params, hc, blocks,
                                [inst.order for inst in instances for _ in range(n_copies)])
-    if params.task != "bio":
+    if n_rel:
         qk, at = saved
         pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
         terms, ds = _flat_grid_loss(out, pos, np.repeat(ms * ms, n_rel), grads is not None)
@@ -649,7 +653,7 @@ def _run_group(params, instances, rng, grads):
         np.add.at(dh_head, take, dhc)
     else:
         dh_head = dhc
-    if params.task == "rop":
+    if TASKS[params.task].reading_order:
         grads["aux_emb"] += dh_head[offsets[:-1]].sum(axis=0)
         dh = np.delete(dh_head, offsets[:-1], axis=0)
     else:

@@ -15,7 +15,7 @@ from tokenpath.core import (
 from tokenpath.datagen import shuffle_order
 from tokenpath.decode import Prediction, decode_document
 from tokenpath.metrics import dataset_stats
-from tokenpath.scorer import EncoderConfig, init_params, save_checkpoint
+from tokenpath.scorer import TASKS, EncoderConfig, init_params, save_checkpoint
 
 
 def run(args):
@@ -451,7 +451,7 @@ class TestCorruptInputs:
     def test_non_integer_prediction_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
                                                           damage):
         task, value, problem = self.WRONG_TYPES[damage]
-        field = cli_module._EVAL_FIELDS[task]
+        field = TASKS[task].field
         docs = load_corpus(str(corpus_dir)).split("test")
         preds = tmp_path / "preds"
         preds.mkdir()
@@ -497,7 +497,7 @@ class TestCorruptInputs:
     def test_out_of_range_prediction_is_a_validation_error(self, tmp_path, corpus_dir, capsys,
                                                            damage):
         task, make = self.BAD_VALUES[damage]
-        field = cli_module._EVAL_FIELDS[task]
+        field = TASKS[task].field
         docs = load_corpus(str(corpus_dir)).split("test")
         preds = tmp_path / "preds"
         preds.mkdir()

@@ -3,6 +3,7 @@ import pytest
 
 from tokenpath.core import Entity, InputOrder, ocr_order, replace_order
 from tokenpath.datagen import GenConfig, gen_corpus, shuffle_order
+from tokenpath import decode as decode_module
 from tokenpath.decode import (
     DecodeConfig,
     DecodedEntity,
@@ -461,6 +462,28 @@ class TestBioDecode:
         params.arrays["cls_b"][1] = np.nan  # one NaN tag logit per word
         with pytest.raises(ValueError, match=f"bio logit array has {doc.n_words} NaN cells"):
             decode_document(doc, params)
+
+
+class TestDecodeDocument:
+    # A grid task's decoder is looked up in the module on every call, so a
+    # caller that replaces ``decode.ner_decode`` (a tracer, say) sees every
+    # call; the decoded value fills the task's prediction field.
+    @pytest.mark.parametrize("task, name, field, value", [
+        ("ner", "ner_decode", "entities", [DecodedEntity(0, (0,), 1.0)]),
+        ("el", "el_decode", "links", [(0, 1)]),
+        ("rop", "rop_decode", "predicted_order", (0,)),
+    ])
+    def test_calls_the_decoder_its_module_holds(self, monkeypatch, task, name, field, value):
+        doc = gen_corpus(GenConfig(doc_count=1, seed=2)).documents[0]
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=1)
+        params = init_params(cfg, task, doc.entity_types)
+        calls = []
+        monkeypatch.setattr(decode_module, name, lambda *args: calls.append(args) or value)
+        got = decode_document(doc, params)
+        assert len(calls) == 1
+        assert getattr(got, field) == tuple(value)
+        assert [f for f in ("entities", "links", "predicted_order")
+                if getattr(got, f) is not None] == [field]
 
 
 class TestReorder:

@@ -236,13 +236,17 @@ class TestGlobalPointerScores:
             assert np.allclose(scores[t], q @ k.T / math.sqrt(w.shape[-1]))
 
     def test_shapes(self):
+        # Each task's model output, then its training target.
         docs = small_corpus()
         doc = docs[0]
         n, n_tags = doc.n_words, 2 * len(doc.entity_types) + 1
-        want = {"ner": (3, n, n), "el": (1, n, n), "rop": (n + 1, n + 1), "bio": (n, n_tags)}
-        for task, shape in want.items():
+        want = {"ner": ((3, n, n), (3, n, n)), "el": ((1, n, n), (1, n, n)),
+                "rop": ((n + 1, n + 1), (1, n + 1, n + 1)), "bio": ((n, n_tags), (n,))}
+        for task, (shape, target) in want.items():
             params = init_params(small_config(), task, doc.entity_types)
             assert score_document(doc, ocr_order(doc), params).shape == shape
+            inst = make_instance(doc, ocr_order(doc), task, params.config)
+            assert inst.target.shape == target
 
     def test_not_antisymmetric(self):
         docs = small_corpus()
@@ -268,6 +272,26 @@ class TestGlobalPointerScores:
             s_pos = s_again[:, idx[:, None], idx[None, :]]
             expected = s_word[:, idx[:, None], idx[None, :]]
             assert np.array_equal(s_pos, expected)
+
+
+class TestTaskRows:
+    def test_unknown_task_refused(self):
+        doc = small_corpus()[0]
+        with pytest.raises(ValueError, match="unknown task 'pos'"):
+            init_params(small_config(), "pos", doc.entity_types)
+        with pytest.raises(ValueError, match="unknown task 'pos'"):
+            make_instance(doc, ocr_order(doc), "pos", small_config())
+
+    @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
+    def test_empty_document_refused(self, task):
+        # featurize, which training and decoding both go through, names the
+        # document rather than failing on an index.
+        doc = make_doc([], [])
+        params = init_params(small_config(), task, doc.entity_types)
+        with pytest.raises(ValueError, match="doc t has no words"):
+            score_document(doc, InputOrder(()), params)
+        with pytest.raises(ValueError, match="doc t has no words"):
+            make_instance(doc, InputOrder(()), task, params.config)
 
 
 class TestLocalPositions:
