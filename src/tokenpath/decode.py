@@ -146,10 +146,10 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
     Raises ``ValueError`` if the grid holds NaN cells, or if at some step no
     finite edge extends any kept path.
     """
-    m = scores.shape[0]
-    if scores.ndim != 2 or scores.shape[1] != m:
+    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ValueError(f"expected a square grid, got {scores.shape}")
     _reject_nan(scores, "rop grid")
+    m = scores.shape[0]
     n = m - 1
     # Costs are negated log-sigmoids, so a path's cost is minus its score and
     # the best extensions are the cheapest. A step's candidates form an

@@ -179,6 +179,8 @@ def ard(pred_order: Sequence[int], gold_order: Sequence[int]) -> float:
     pred = list(_as_sequence(pred_order))
     gold = list(_as_sequence(gold_order))
     n = len(gold)
+    if not n:
+        raise ValueError("empty gold order")
     if len(set(pred)) != len(pred):
         raise ValueError("predicted order contains duplicate tokens")
     gold_rank = {t: i for i, t in enumerate(gold)}

@@ -486,11 +486,12 @@ def task_loss_and_grad(
     ``RowGrad`` holding only the rows the instances read; every other array
     gets a dense gradient of its own shape.
 
-    With multi-dropout (train_mode, dropout_rate > 0, K heads) the loss is
-    the mean over K dropout-masked copies of the head input; the head
-    weights are shared across copies. Masks come from ``rng``, so a caller
-    that reseeds identically gets an identical loss surface, which is what
-    the finite-difference checks rely on.
+    With multi-dropout (train_mode, dropout_rate > 0, K copies) each
+    instance runs K times in a row, each run with its own dropout mask on
+    the head input, and the loss is the mean over all runs: a K-copy batch
+    is the K = 1 batch of each instance repeated K times. Masks come from
+    ``rng``, so a caller that reseeds identically gets an identical loss
+    surface, which is what the finite-difference checks rely on.
     """
     return _run_batch(params, instances, train_mode, rng, want_grad=True)
 
@@ -541,6 +542,9 @@ def _run_batch(params, instances, train_mode, rng, want_grad):
     use_masks = train_mode and params.config.dropout_rate > 0.0
     if use_masks and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
+    if use_masks:
+        # K runs of each instance in a row, each with its own dropout mask.
+        instances = [inst for inst in instances for _ in range(params.config.multi_dropout_k)]
     total = 0.0
     # Divergence shows up as inf/nan loss and is reported via the exception;
     # the intermediate overflow warnings are just noise on the way there.
@@ -580,84 +584,68 @@ def _run_group(params, instances, rng, grads):
     """Loss of each instance, in order; accumulates their gradient into
     ``grads`` unless None, where a table read by row index gets the group's
     (row indices, gradient rows) pair appended. With an ``rng``, the head
-    reads K dropout-masked copies of its input.
+    reads its input under a dropout mask, drawn in document order.
 
-    The head rows are stacked as one block per document and dropout copy,
-    a document's copies following it. Every product of the encoder, the
-    heads and their backward pass runs once on the stacked rows, and the
-    grid loss once on the score grids of every block laid end to end. Only
-    the pair-score products and their gradients run block by block.
+    The head rows are stacked as one block per document. Every product of
+    the encoder, the heads and their backward pass runs once on the stacked
+    rows, and the grid loss once on the score grids of every block laid end
+    to end. Only the pair-score products and their gradients run block by
+    block.
     """
     cfg = params.config
     a = params.arrays
-    d, n_rel = cfg.hidden_dim, params.n_relations
-    n_copies = cfg.multi_dropout_k if rng is not None else 1
+    n_rel = params.n_relations
     starts = np.cumsum([0] + [len(inst.features.ids) for inst in instances])
     h, (ids, phi, acts, pos1d) = _encoder_forward(
         [inst.features for inst in instances], [inst.order for inst in instances], params)
-    h_head, offsets = _head_input(h, starts, params)
-    # Block b (copy b % n_copies of document b // n_copies) is rows
-    # row_at[b]:row_at[b + 1] of hc; take maps each row to its row of h_head.
-    ms = np.repeat(np.diff(offsets), n_copies)
-    row_at = np.concatenate(([0], np.cumsum(ms)))
-    take = np.arange(row_at[-1]) - np.repeat(row_at[:-1] - np.repeat(offsets[:-1], n_copies), ms)
-    hc = h_head[take]
+    rows, offsets = _head_input(h, starts, params)
     if rng is not None:
-        # A document's masks are one (copies, rows, d) draw, in document order.
         keep = 1.0 - cfg.dropout_rate
-        mscale = (rng.random((len(take), d)) < keep) / keep
-        hc *= mscale
-    blocks = list(zip(row_at[:-1].tolist(), ms.tolist()))
-    out, saved = _head_forward(params, hc, blocks,
-                               [inst.order for inst in instances for _ in range(n_copies)])
+        mscale = (rng.random(rows.shape) < keep) / keep
+        rows *= mscale
+    ms = np.diff(offsets)
+    blocks = list(zip(offsets[:-1].tolist(), ms.tolist()))
+    out, saved = _head_forward(params, rows, blocks, [inst.order for inst in instances])
     if n_rel:
         qk, at = saved
-        pos = np.concatenate([inst.target.ravel() for inst in instances for _ in range(n_copies)])
+        pos = np.concatenate([inst.target.ravel() for inst in instances])
         terms, ds = _flat_grid_loss(out, pos, np.repeat(ms * ms, n_rel), grads is not None)
-        # A document's loss: its copies' grid losses, summed, over the copies.
-        losses = terms.reshape(len(instances), -1).sum(axis=1) / n_copies
+        losses = terms.reshape(len(instances), -1).sum(axis=1)
         if grads is None:
             return losses.tolist()
-        ds /= np.sqrt(qk.shape[-1]) * n_copies
+        ds /= np.sqrt(qk.shape[-1])
         dqk = np.empty_like(qk)
         for b, (lo, m) in enumerate(blocks):
             g = ds[at[b] : at[b + 1]].reshape(n_rel, m, m)
             np.matmul(g, qk[:, 1, lo : lo + m], out=dqk[:, 0, lo : lo + m])
             np.matmul(g.transpose(0, 2, 1), qk[:, 0, lo : lo + m], out=dqk[:, 1, lo : lo + m])
-        grads["qk_w"] += hc.T @ dqk
+        grads["qk_w"] += rows.T @ dqk
         grads["qk_b"] += dqk.sum(axis=2)
-        dhc = (dqk @ a["qk_w"].transpose(0, 1, 3, 2)).sum(axis=(0, 1))
+        drows = (dqk @ a["qk_w"].transpose(0, 1, 3, 2)).sum(axis=(0, 1))
     else:
         before, after, prev, nxt = saved
-        # A row weighs 1 / (words * copies): a document's loss is the mean
-        # over its copies of the mean cross-entropy over its words.
-        targets = np.concatenate([inst.target for inst in instances])[take]
-        ce, dlogits = _softmax_ce_grad(out, targets, np.repeat(1.0 / (ms * n_copies), ms))
-        doc_of_row = np.repeat(np.arange(len(ms)) // n_copies, ms)
-        losses = np.bincount(doc_of_row, weights=ce, minlength=len(instances))
+        # A row weighs 1 / words, so a document's loss is its mean cross-entropy.
+        targets = np.concatenate([inst.target for inst in instances])
+        ce, dlogits = _softmax_ce_grad(out, targets, np.repeat(1.0 / ms, ms))
+        losses = np.bincount(np.repeat(np.arange(len(ms)), ms), weights=ce)
         if grads is None:
             return losses.tolist()
-        grads["cls_w"] += hc.T @ dlogits
+        grads["cls_w"] += rows.T @ dlogits
         grads["cls_wp"] += prev.T @ dlogits
         grads["cls_wn"] += nxt.T @ dlogits
         grads["cls_b"] += dlogits.sum(axis=0)
-        dhc = dlogits @ a["cls_w"].T
-        # prev[after] = hc[before] and nxt[before] = hc[after]
-        dhc[before] += (dlogits @ a["cls_wp"].T)[after]
-        dhc[after] += (dlogits @ a["cls_wn"].T)[before]
+        drows = dlogits @ a["cls_w"].T
+        # prev[after] = rows[before] and nxt[before] = rows[after]
+        drows[before] += (dlogits @ a["cls_wp"].T)[after]
+        drows[after] += (dlogits @ a["cls_wn"].T)[before]
 
     if rng is not None:
-        dhc *= mscale
-    if n_copies > 1:
-        dh_head = np.zeros_like(h_head)
-        np.add.at(dh_head, take, dhc)
-    else:
-        dh_head = dhc
+        drows *= mscale
     if TASKS[params.task].reading_order:
-        grads["aux_emb"] += dh_head[offsets[:-1]].sum(axis=0)
-        dh = np.delete(dh_head, offsets[:-1], axis=0)
+        grads["aux_emb"] += drows[offsets[:-1]].sum(axis=0)
+        dh = np.delete(drows, offsets[:-1], axis=0)
     else:
-        dh = dh_head
+        dh = drows
     # h = mlp_out + layout (+ the 1D rows when positional_residual); the
     # residuals feed pos2d_w and the 1D tables directly.
     da = dh

@@ -357,6 +357,12 @@ class TestRopDecode:
         s = np.zeros((2, 2))
         assert rop_decode(s) == (0,)
 
+    @pytest.mark.parametrize("scores", [np.float64(1.0), np.zeros(3), np.zeros((2, 3)),
+                                        np.zeros((2, 2, 2))], ids=["0d", "1d", "2x3", "3d"])
+    def test_non_square_grid_refused(self, scores):
+        with pytest.raises(ValueError, match="expected a square grid"):
+            rop_decode(scores)
+
     @pytest.mark.parametrize("beam", [1, 8])
     def test_no_token(self, beam):
         # Only the start node: the path is empty.

@@ -168,6 +168,10 @@ class TestArd:
         with pytest.raises(ValueError):
             ard([0, 9], [0, 1])
 
+    def test_empty_gold_rejected(self):
+        with pytest.raises(ValueError, match="empty gold order"):
+            ard([], [])
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -677,6 +677,27 @@ class TestBatchEngine:
         got = task_loss_and_grad(params, insts, train_mode=True, rng=np.random.default_rng(3))
         want = _sequential_mean(params, insts, train_mode=True, rng=np.random.default_rng(3))
         self.assert_same(params, got, want)
+
+    @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
+    def test_copies_are_repeated_instances(self, task):
+        # K dropout copies run as the K = 1 batch of each instance repeated
+        # K times in a row: same masks, same groups, same bits.
+        cfg = small_config(dropout_rate=0.2, multi_dropout_k=3)
+        types, insts = _five_instances(task, cfg)
+        got = task_loss_and_grad(init_params(cfg, task, types), insts,
+                                 train_mode=True, rng=np.random.default_rng(3))
+        one = replace(cfg, multi_dropout_k=1)
+        want = task_loss_and_grad(init_params(one, task, types),
+                                  [inst for inst in insts for _ in range(3)],
+                                  train_mode=True, rng=np.random.default_rng(3))
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for name, g in got[1].items():
+            if isinstance(g, RowGrad):
+                assert np.array_equal(g.rows, want[1][name].rows)
+                assert np.array_equal(g.values, want[1][name].values)
+            else:
+                assert np.array_equal(g, want[1][name])
 
 
 class TestRowGrad:
