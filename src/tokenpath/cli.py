@@ -33,7 +33,6 @@ from .core import (
     _index_problem,
     _read_error,
     load_corpus,
-    map_ordered,
     ocr_order,
     replace_order,
     save_corpus,
@@ -151,7 +150,7 @@ def cmd_gen(args) -> int:
     raw = load_run_config(args.config)
     overrides = {} if args.seed is None else {"seed": args.seed}
     gcfg: GenConfig = build_section(raw, "gen", overrides)
-    corpus = gen_corpus(gcfg, workers=args.workers)
+    corpus = gen_corpus(gcfg)
     with _staged(args.out, {"gen": asdict(gcfg)}) as tmp:
         save_corpus(corpus, tmp)
     print(f"wrote {len(corpus.documents)} documents to {args.out}")
@@ -165,6 +164,10 @@ def cmd_train(args) -> int:
     hyper: Hyper = build_section(raw, "train")
     corpus = _load_corpus_checked(args.corpus)
     docs = _split_docs(corpus, "train", TASKS[args.task].reading_order)
+    try:
+        TASKS[args.task].relations(corpus.entity_types)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     params, log = train(docs, args.task, config, hyper)
     run_config = {"task": args.task, "encoder": asdict(config), "train": asdict(hyper)}
     with _staged(args.out, run_config) as tmp:
@@ -200,15 +203,16 @@ def _load_checkpoint_checked(path: str, task: str):
     return params
 
 
-def _per_document(fn, docs: Sequence[Document], workers: int) -> list:
-    """``fn(index, doc)`` for each document in order, on ``workers`` threads;
-    a ValueError is re-raised with the id of the document it hit."""
-    def run(pair: tuple[int, Document]):
+def _per_document(fn, docs: Sequence[Document]) -> list:
+    """``fn(index, doc)`` for each document in order; a ValueError is
+    re-raised with the id of the document it hit."""
+    results = []
+    for i, doc in enumerate(docs):
         try:
-            return fn(*pair)
+            results.append(fn(i, doc))
         except ValueError as exc:
-            raise ValueError(f"document {pair[1].id}: {exc}") from exc
-    return map_ordered(run, enumerate(docs), workers)
+            raise ValueError(f"document {doc.id}: {exc}") from exc
+    return results
 
 
 def cmd_decode(args) -> int:
@@ -224,7 +228,7 @@ def cmd_decode(args) -> int:
         )
 
     preds = _per_document(lambda i, doc: decode_document(
-        doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed)), docs, args.workers)
+        doc, params, dcfg, order=_eval_order(doc, i, args.shuffle_seed)), docs)
     run_config = {"task": args.task, "split": args.split, "decode": asdict(dcfg),
                   "shuffle_seed": args.shuffle_seed}
     with _staged(args.out, run_config) as tmp:
@@ -240,7 +244,7 @@ def cmd_reorder(args) -> int:
     dcfg = build_section(load_run_config(args.config), "decode")
 
     docs = _per_document(lambda _, doc: replace_order(doc, reorder(doc, params, dcfg)),
-                         corpus.documents, args.workers)
+                         corpus.documents)
     with _staged(args.out, {"decode": asdict(dcfg), "reordered": True}) as tmp:
         save_corpus(Corpus(tuple(docs), corpus.splits), tmp)
     print(f"reordered {len(docs)} documents -> {args.out}")
@@ -353,7 +357,8 @@ _FLAGS = {
     "--config": dict(default=None, help="JSON run config file"),
     "--seed": dict(type=int, default=None, help="override config seeds"),
     "--out": dict(required=True, help="output directory (must not exist)"),
-    "--workers": dict(type=int, default=1),
+    "--workers": dict(type=int, default=1,
+                      help="accepted and ignored: documents run one at a time, in order"),
 }
 
 # The least value of an integer flag; a smaller one is a validation error.

@@ -24,9 +24,8 @@ import numbers
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 #: Tolerance (page units) when checking that a segment box contains its words.
 #: OCR boxes are noisy; strict containment would reject real data.
@@ -475,15 +474,3 @@ def replace_order(doc: Document, order: InputOrder) -> Document:
     """A copy of ``doc`` carrying ``order`` as its stored input order."""
     return replace(doc, input_order=tuple(order.perm))
 
-
-def map_ordered(fn: Callable, items: Iterable, workers: int) -> list:
-    """``[fn(x) for x in items]``, on ``workers`` threads when above 1.
-
-    Results keep item order, so for a pure ``fn`` the worker count never
-    changes output bytes.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

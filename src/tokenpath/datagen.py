@@ -38,7 +38,6 @@ from .core import (
     Word,
     _integer,
     _number,
-    map_ordered,
     validate_document,
 )
 
@@ -129,16 +128,15 @@ def _entity_texts(name: str, k: int, rng) -> list[str]:
         f"{name}-{min(j, 3)}{rng.integers(3)}" for j in range(1, k)]
 
 
-def gen_corpus(config: GenConfig, workers: int = 1) -> Corpus:
+def gen_corpus(config: GenConfig) -> Corpus:
     """Generate a corpus with gold orders and train/val/test splits.
 
     Fully deterministic: per-document generators are seeded by
     (config.seed, document index, attempt), so documents are independent of
-    each other and of scheduling, and ``workers`` never changes the output.
+    each other.
     """
     names = type_names(config.entity_types)
-    docs = tuple(map_ordered(lambda i: _gen_document(i, config, names),
-                             range(config.doc_count), workers))
+    docs = tuple(_gen_document(i, config, names) for i in range(config.doc_count))
 
     ids = [d.id for d in docs]
     n_train, n_val, _ = config.split_sizes()

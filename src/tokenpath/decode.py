@@ -139,9 +139,10 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
     Each step keeps the ``beam_size`` best finite extensions, ranked by score
     descending, then by the node extended to, then by the beam extended; the
     result is the first best-scoring full path in that rank. A step costs
-    O(beam_size * n): one partition, then a stable sort of only the
-    extensions scoring at least the cut. ``+inf`` cells are certain edges
-    and ``-inf`` cells forbidden.
+    O(kept beams * n): one partition, then a stable sort of only the
+    extensions scoring at least the cut; a step keeps no more beams than
+    there are finite extensions, whatever ``beam_size`` is. ``+inf`` cells
+    are certain edges and ``-inf`` cells forbidden.
 
     Raises ``ValueError`` if the grid holds NaN cells, or if at some step no
     finite edge extends any kept path.
@@ -160,7 +161,6 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
     last = np.zeros(1, dtype=np.intp)
     blocked = np.zeros((m, 1))
     blocked[0] = np.inf
-    beams = np.arange(config.beam_size)
     parents, nodes = [], []
     for step in range(n):
         cand = cost.take(last, axis=1)
@@ -177,7 +177,7 @@ def rop_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> tup
         last, parent = np.divmod(top, len(path_cost))
         path_cost = flat[top]
         blocked = blocked[:, parent]
-        blocked[last, beams[:width]] = np.inf
+        blocked[last, np.arange(width)] = np.inf
         parents.append(parent)
         nodes.append(last)
 

@@ -97,8 +97,17 @@ class _Task:
     reading_order: bool = False  # head reads start node aux_emb; trains and scores on gold orders
 
 
+def _entity_relations(entity_types: Sequence[str]) -> int:
+    """One relation type per entity type. An empty registry has none, and
+    0 would build the BIO classifier, so it is refused."""
+    if not entity_types:
+        raise ValueError("a 'ner' model needs at least one entity type; "
+                         "the entity-type registry is empty")
+    return len(entity_types)
+
+
 TASKS = {
-    "ner": _Task(len, lambda doc, order: labels_mod.ner_grids(doc), "entities"),
+    "ner": _Task(_entity_relations, lambda doc, order: labels_mod.ner_grids(doc), "entities"),
     "el": _Task(lambda types: 1, lambda doc, order: labels_mod.el_grid(doc)[None], "links"),
     "rop": _Task(lambda types: 1, lambda doc, order: labels_mod.rop_grid(
         doc, InputOrder(doc.gold_order))[None], "predicted_order", reading_order=True),

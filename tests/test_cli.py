@@ -196,7 +196,8 @@ class TestRefusals:
     # Each refusal exits 1 with its exact message and writes nothing.
     CASES = ["config_not_found", "config_not_an_object", "corpus_not_found",
              "invalid_document", "missing_split", "empty_split", "rop_without_gold_order",
-             "checkpoint_not_found", "checkpoint_types_differ", "predictions_not_found"]
+             "ner_on_empty_registry", "checkpoint_not_found", "checkpoint_types_differ",
+             "predictions_not_found"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_refusal_is_a_validation_error(self, tmp_path, corpus_dir, capsys, case):
@@ -246,6 +247,13 @@ class TestRefusals:
             edit_document(lacking, lambda r: r.pop("gold_order"))
             argv = ["train", "--task", "rop", "--corpus", corpus_dir, "--out", out]
             message = f"document {lacking} lacks gold_order"
+        elif case == "ner_on_empty_registry":
+            # Zero relation types would silently build the BIO classifier.
+            for doc in corpus.documents:
+                edit_document(doc.id, lambda r: r.update(entity_types=[], entities=[], links=[]))
+            argv = ["train", "--task", "ner", "--corpus", corpus_dir, "--out", out]
+            message = ("a 'ner' model needs at least one entity type; "
+                       "the entity-type registry is empty")
         elif case == "checkpoint_not_found":
             argv = decode(checkpoint=missing)
             message = f"checkpoint not found: {missing}"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,20 @@ class TestRopDecode:
                     rop_decode(t, cfg)
             else:
                 assert rop_decode(t, cfg) == want
+
+    def test_huge_beam_costs_only_the_beams_kept(self):
+        # 5 tokens have 120 paths, so beam 120 already keeps every one; beam
+        # 10**7 must give the same path without allocating for its width.
+        s = np.random.default_rng(5).normal(size=(6, 6))
+        tracemalloc.start()
+        try:
+            got = rop_decode(s, DecodeConfig(beam_size=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(got) == list(range(5))
+        assert got == rop_decode(s, DecodeConfig(beam_size=120))
+        assert peak < 2**20
 
 
 class TestBioDecode:

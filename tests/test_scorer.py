@@ -397,15 +397,17 @@ class TestGridLoss:
                     checked += 1
 
     def test_group_equals_per_document_reference_loop(self, monkeypatch):
-        # Five documents in one group under dropout with K = 3 copies; the
+        # Five documents in one group under dropout with K = 2 copies; the
         # first has relation types with no positive cell. The reference runs
         # each document as a group of its own and its grids one type at a
         # time through the reference loss. Masks follow the same order; the
         # sums over a group's stacked rows do not, so they agree to rounding.
-        cfg = small_config(dropout_rate=0.2, multi_dropout_k=3)
+        cfg = small_config(dropout_rate=0.2, multi_dropout_k=2)
         types, insts = _five_instances("ner", cfg)
         assert not insts[0].target[0].any() and insts[0].target.any()
-        assert sum(len(inst.features.ids) for inst in insts) <= scorer_module._GROUP_ROWS
+        # Each copy is a repeated instance, so the group stacks K x words rows.
+        words = sum(len(inst.features.ids) for inst in insts)
+        assert cfg.multi_dropout_k * words <= scorer_module._GROUP_ROWS
         params = init_params(cfg, "ner", types)
 
         def run():
@@ -430,10 +432,6 @@ class TestGridLoss:
                                    grads_to_vector(params, want[1]), rtol=1e-12, atol=0.0)
 
     def test_closed_form_at_zero_scores(self):
-        scores = np.zeros((1, 5, 5))
-        labels = np.zeros((1, 5, 5), dtype=bool)
-        labels[0, 0, 1] = labels[0, 1, 2] = True
-        # restrict to a 2x4 block world: craft P=2, N=6 via a 1x8 grid
         scores = np.zeros((1, 2, 4))
         labels = np.zeros((1, 2, 4), dtype=bool)
         labels[0, 0, 0] = labels[0, 0, 1] = True
@@ -598,6 +596,20 @@ class TestHeadWidth:
     def test_more_types_than_hidden_dim_refused(self):
         with pytest.raises(ValueError, match=r"hidden_dim 2 is smaller than the 3 relation types"):
             init_params(small_config(hidden_dim=2), "ner", ("a", "b", "c"))
+
+    def test_ner_on_an_empty_registry_refused(self, tmp_path):
+        # Zero relation types would mean the BIO classifier's head; a BIO
+        # model on the same empty registry is valid and keeps it.
+        with pytest.raises(ValueError, match="the entity-type registry is empty"):
+            init_params(small_config(), "ner", ())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(small_config(), "bio", ()), str(path))
+        blob = path.read_bytes()
+        assert blob.count(b'"task":"bio"') == 1
+        path.write_bytes(blob.replace(b'"task":"bio"', b'"task":"ner"'))
+        with pytest.raises(ValueError, match="bad checkpoint header: a 'ner' model needs at "
+                                             "least one entity type"):
+            load_checkpoint(str(path))
 
     def test_one_wide_heads_pass_finite_differences(self):
         # T = hidden_dim: every head is a single column.
