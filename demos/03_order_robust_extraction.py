@@ -43,8 +43,7 @@ def main():
     ))
     train_docs, test_docs = corpus.split("train"), corpus.split("test")
 
-    grid_cfg = EncoderConfig(use_1d_position="none", use_2d_position="word",
-                             dropout_rate=0.0, multi_dropout_k=1, seed=0)
+    grid_cfg = EncoderConfig(use_1d_position="none", use_2d_position="word", seed=0)
     # Clipped, as criterion 6 trains: unclipped at this lr, about one
     # encoder seed in two diverges.
     grid, _ = train(train_docs, "ner", grid_cfg,
@@ -52,8 +51,7 @@ def main():
                           warmup_fraction=0.1, weight_decay=1e-4, max_grad_norm=10.0))
 
     bio_cfg = EncoderConfig(use_1d_position="global", use_2d_position="word",
-                            positional_residual=True, dropout_rate=0.0,
-                            multi_dropout_k=1, seed=0)
+                            positional_residual=True, seed=0)
     bio, _ = train(train_docs, "bio", bio_cfg,
                    Hyper(lr=0.3, steps=1500, batch_size=32,
                          warmup_fraction=0.1, weight_decay=1e-4))

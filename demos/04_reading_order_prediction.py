@@ -52,8 +52,7 @@ def main():
     ))
     train_docs, test_docs = corpus.split("train"), corpus.split("test")
 
-    rop_cfg = EncoderConfig(use_1d_position="none", use_2d_position="word",
-                            dropout_rate=0.0, multi_dropout_k=1, seed=0)
+    rop_cfg = EncoderConfig(use_1d_position="none", use_2d_position="word", seed=0)
     rop, _ = train(train_docs, "rop", rop_cfg,
                    Hyper(lr=0.06, steps=1500, batch_size=32,
                          warmup_fraction=0.1, weight_decay=1e-4))
@@ -64,8 +63,7 @@ def main():
     print(f"predicted reading order: bleu={np.mean(bleus):.2f} ard={np.mean(ards):.3f}")
 
     bio_cfg = EncoderConfig(use_1d_position="global", use_2d_position="word",
-                            positional_residual=True, dropout_rate=0.0,
-                            multi_dropout_k=1, seed=0)
+                            positional_residual=True, seed=0)
     bio, _ = train(train_docs, "bio", bio_cfg,
                    Hyper(lr=0.3, steps=1500, batch_size=32,
                          warmup_fraction=0.1, weight_decay=1e-4))

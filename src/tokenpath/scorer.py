@@ -80,8 +80,13 @@ class EncoderConfig:
         if _integer(self.hidden_dim, "hidden_dim", minimum=1) % 2:
             raise ValueError(f"hidden_dim must be a positive even number, got {self.hidden_dim}")
         _integer(self.vocab_buckets, "vocab_buckets", minimum=2)
-        _number(self.dropout_rate, "dropout_rate", 0, 1, "[)")
-        _integer(self.multi_dropout_k, "multi_dropout_k", minimum=1)
+        # Dropout was removed. Its two fields stay, so that configs and
+        # checkpoint headers keep their keys, and take only their "off" value.
+        _number(self.dropout_rate, "dropout_rate")
+        _integer(self.multi_dropout_k, "multi_dropout_k")
+        for name, off in (("dropout_rate", 0.0), ("multi_dropout_k", 1)):
+            if getattr(self, name) != off:
+                raise ValueError(f"{name} value {getattr(self, name)} is refused: dropout was removed")
         _integer(self.mlp_layers, "mlp_layers", minimum=1)
         if self.use_1d_position not in _1D_MODES:
             raise ValueError(f"use_1d_position must be one of {_1D_MODES}")
@@ -357,9 +362,15 @@ def _head_forward(params: ModelParams, rows: np.ndarray, blocks, orders: Sequenc
     return s, (qk, at)
 
 
+def _check_order(doc: Document, order: InputOrder) -> None:
+    if len(order) != doc.n_words:
+        raise ValueError(f"doc {doc.id}: input order has {len(order)} positions, "
+                         f"the document has {doc.n_words} words")
+
+
 def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
-    """Eval-mode model output for one document: the training forward of
-    ``_run_group`` on the document alone, without dropout.
+    """Model output for one document: the training forward of
+    ``_run_group`` on the document alone.
 
     ner/el: (n_relations, n, n) score grids over word indices.
     rop:    (n+1, n+1) grid; node 0 is the auxiliary start, node i+1 word i.
@@ -368,8 +379,10 @@ def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.
 
     Only the 1D position table caps the length: a rank of ``MAX_SEQUENCE``
     or more raises ``ValueError``, so "global" takes documents of at most
-    that many words and "local" segments of at most that many.
+    that many words and "local" segments of at most that many. An order
+    whose length is not the document's word count raises ``ValueError`` too.
     """
+    _check_order(doc, order)
     h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
     rows, _ = _head_input(h, np.array([0, len(h)]), params)
     out, _ = _head_forward(params, rows, [(0, len(rows))], [order])
@@ -475,6 +488,7 @@ def make_instance(
     params_config: EncoderConfig,
     features: DocFeatures | None = None,
 ) -> TaskInstance:
+    _check_order(doc, order)
     feats = features if features is not None else featurize(doc, params_config)
     row = _task(task)
     if row.reading_order and doc.gold_order is None:
@@ -482,32 +496,20 @@ def make_instance(
     return TaskInstance(features=feats, order=order, target=row.target(doc, order))
 
 
-def task_loss_and_grad(
-    params: ModelParams,
-    instances: Sequence[TaskInstance],
-    *,
-    train_mode: bool = False,
-    rng=None,
-):
+def task_loss_and_grad(params: ModelParams, instances: Sequence[TaskInstance]):
     """Mean loss over instances and its gradient w.r.t. every parameter.
 
     Tables read by row index (``tok_emb`` and the 1D position table) get a
     ``RowGrad`` holding only the rows the instances read; every other array
     gets a dense gradient of its own shape.
-
-    With multi-dropout (train_mode, dropout_rate > 0, K copies) each
-    instance runs K times in a row, each run with its own dropout mask on
-    the head input, and the loss is the mean over all runs: a K-copy batch
-    is the K = 1 batch of each instance repeated K times. Masks come from
-    ``rng``, so a caller that reseeds identically gets an identical loss
-    surface, which is what the finite-difference checks rely on.
     """
-    return _run_batch(params, instances, train_mode, rng, want_grad=True)
+    return _run_batch(params, instances, want_grad=True)
 
 
-def task_loss(params, instances, *, train_mode=False, rng=None) -> float:
-    loss, _ = _run_batch(params, instances, train_mode, rng, want_grad=False)
-    return loss
+def task_loss(params, instances, *, train_mode=False) -> float:
+    """Mean loss over instances. Training has no mode of its own, so
+    ``train_mode`` is accepted and ignored."""
+    return _run_batch(params, instances, want_grad=False)[0]
 
 
 # Documents per stacked pass: groups of at most this many words (one
@@ -541,25 +543,19 @@ def _row_grad(reads, scale):
     return RowGrad(ids[starts], values)
 
 
-def _run_batch(params, instances, train_mode, rng, want_grad):
+def _run_batch(params, instances, want_grad):
     # Tables read by row index collect (row indices, gradient rows) pairs,
     # one per group after an empty one, and become a RowGrad at the end; the
     # rest are dense.
     row_tables = ("tok_emb", _1D_TABLES[params.config.use_1d_position])
     grads = {k: [(np.empty(0, np.int64), v[:0])] if k in row_tables else np.zeros_like(v)
              for k, v in params.arrays.items()} if want_grad else None
-    use_masks = train_mode and params.config.dropout_rate > 0.0
-    if use_masks and rng is None:
-        raise ValueError("train_mode with dropout requires an rng")
-    if use_masks:
-        # K runs of each instance in a row, each with its own dropout mask.
-        instances = [inst for inst in instances for _ in range(params.config.multi_dropout_k)]
     total = 0.0
     # Divergence shows up as inf/nan loss and is reported via the exception;
     # the intermediate overflow warnings are just noise on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
         for group in _groups(instances):
-            for loss in _run_group(params, group, rng if use_masks else None, grads):
+            for loss in _run_group(params, group, grads):
                 total += loss
     scale = 1.0 / max(1, len(instances))
     if want_grad:
@@ -589,11 +585,10 @@ def _groups(instances):
         yield group
 
 
-def _run_group(params, instances, rng, grads):
+def _run_group(params, instances, grads):
     """Loss of each instance, in order; accumulates their gradient into
     ``grads`` unless None, where a table read by row index gets the group's
-    (row indices, gradient rows) pair appended. With an ``rng``, the head
-    reads its input under a dropout mask, drawn in document order.
+    (row indices, gradient rows) pair appended.
 
     The head rows are stacked as one block per document. Every product of
     the encoder, the heads and their backward pass runs once on the stacked
@@ -608,10 +603,6 @@ def _run_group(params, instances, rng, grads):
     h, (ids, phi, acts, pos1d) = _encoder_forward(
         [inst.features for inst in instances], [inst.order for inst in instances], params)
     rows, offsets = _head_input(h, starts, params)
-    if rng is not None:
-        keep = 1.0 - cfg.dropout_rate
-        mscale = (rng.random(rows.shape) < keep) / keep
-        rows *= mscale
     ms = np.diff(offsets)
     blocks = list(zip(offsets[:-1].tolist(), ms.tolist()))
     out, saved = _head_forward(params, rows, blocks, [inst.order for inst in instances])
@@ -648,8 +639,6 @@ def _run_group(params, instances, rng, grads):
         drows[before] += (dlogits @ a["cls_wp"].T)[after]
         drows[after] += (dlogits @ a["cls_wn"].T)[before]
 
-    if rng is not None:
-        drows *= mscale
     if TASKS[params.task].reading_order:
         grads["aux_emb"] += drows[offsets[:-1]].sum(axis=0)
         dh = np.delete(drows, offsets[:-1], axis=0)

@@ -89,10 +89,9 @@ def train(
     ]
     base = [make_instance(d, base_orders[i], task, config, feats[i]) for i, d in enumerate(docs)]
 
-    # Three seed streams: batch order, one unused, dropout masks.
-    batch_rng, _, drop_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
-    )
+    # Batch order reads the config seed's first child stream, not the seed
+    # itself, so that trajectories keep the bits of earlier versions.
+    batch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     warmup_steps = max(1, int(round(hyper.steps * hyper.warmup_fraction)))
     step = 0
     # Each update is written into the spare buffer, and the two swap: the
@@ -106,9 +105,7 @@ def train(
             batch = epoch_docs[lo : lo + hyper.batch_size]
             instances = [base[i] for i in batch]
             try:
-                loss, grads = task_loss_and_grad(
-                    params, instances, train_mode=True, rng=drop_rng
-                )
+                loss, grads = task_loss_and_grad(params, instances)
             except FloatingPointError as exc:
                 log.aborted = True
                 log.message = f"aborted at step {step}: {exc}"

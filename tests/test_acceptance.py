@@ -113,19 +113,14 @@ def test_criterion_4_gradient_correctness():
     t0 = time.monotonic()
     configs = [
         ("ner", EncoderConfig(hidden_dim=16, vocab_buckets=64, mlp_layers=2,
-                              dropout_rate=0.2, multi_dropout_k=3,
                               use_1d_position="global", positional_residual=True, seed=1)),
         ("el", EncoderConfig(hidden_dim=8, vocab_buckets=32, mlp_layers=1,
-                             dropout_rate=0.0, multi_dropout_k=1,
                              use_1d_position="local", use_2d_position="segment", seed=2)),
         ("rop", EncoderConfig(hidden_dim=12, vocab_buckets=64, mlp_layers=3,
-                              dropout_rate=0.1, multi_dropout_k=2,
                               use_1d_position="none", seed=3)),
         ("bio", EncoderConfig(hidden_dim=16, vocab_buckets=64, mlp_layers=2,
-                              dropout_rate=0.15, multi_dropout_k=4,
                               use_1d_position="global", seed=4)),
         ("ner", EncoderConfig(hidden_dim=8, vocab_buckets=32, mlp_layers=2,
-                              dropout_rate=0.0, multi_dropout_k=1,
                               use_1d_position="local", positional_residual=True, seed=5)),
     ]
     worst, total = 0.0, 0
@@ -161,14 +156,13 @@ def test_criterion_5_loss_closed_form():
 # ---------------------------------------------------------------------------
 
 GRID_CONFIG = EncoderConfig(
-    hidden_dim=64, use_1d_position="local", use_2d_position="segment",
-    dropout_rate=0.0, multi_dropout_k=1, seed=0,
+    hidden_dim=64, use_1d_position="local", use_2d_position="segment", seed=0,
 )
 GRID_HYPER = Hyper(lr=0.12, steps=4500, batch_size=64, warmup_fraction=0.1,
                    weight_decay=1e-4, max_grad_norm=10.0)
 BIO_CONFIG = EncoderConfig(
     hidden_dim=64, use_1d_position="global", use_2d_position="word",
-    positional_residual=True, dropout_rate=0.0, multi_dropout_k=1, seed=0,
+    positional_residual=True, seed=0,
 )
 BIO_HYPER = Hyper(lr=0.3, steps=1500, batch_size=32, warmup_fraction=0.1,
                   weight_decay=1e-4, max_grad_norm=10.0)
@@ -294,8 +288,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     cfg_path.write_text(dumps_canonical({
         "gen": {"doc_count": 16, "words_per_doc": [8, 16], "entity_types": 2,
                 "val_fraction": 0.0, "test_fraction": 0.25, "seed": 3},
-        "encoder": {"hidden_dim": 16, "vocab_buckets": 128, "dropout_rate": 0.1,
-                    "multi_dropout_k": 2, "seed": 1},
+        "encoder": {"hidden_dim": 16, "vocab_buckets": 128, "seed": 1},
         "train": {"lr": 0.05, "steps": 40, "batch_size": 4},
     }))
 

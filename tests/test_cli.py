@@ -138,6 +138,8 @@ class TestBadNumbers:
                                      "mlp_layers value 1.5 is not an integer"),
         "encoder_float_multi_dropout_k": (("encoder", {"multi_dropout_k": 1.5}),
                                           "multi_dropout_k value 1.5 is not an integer"),
+        "encoder_dropout_rate_removed": (("encoder", {"dropout_rate": 0.1}),
+                                         "dropout_rate value 0.1 is refused: dropout was removed"),
         "train_float_batch_size": (("train", {"batch_size": 1.5}),
                                    "batch_size value 1.5 is not an integer"),
         "train_float_steps": (("train", {"steps": 2.5}), "steps value 2.5 is not an integer"),

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,9 +75,7 @@ def long_doc(n, segment_words=None):
 
 
 def small_config(**kw):
-    # Dropout on, K = 4 copies, unless a test says otherwise, so the gradient
-    # and batching checks run the dropout path.
-    defaults = dict(hidden_dim=8, vocab_buckets=64, dropout_rate=0.1, multi_dropout_k=4, seed=3)
+    defaults = dict(hidden_dim=8, vocab_buckets=64, seed=3)
     defaults.update(kw)
     return EncoderConfig(**defaults)
 
@@ -87,11 +85,20 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             EncoderConfig(hidden_dim=7)
         with pytest.raises(ValueError):
-            EncoderConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            EncoderConfig(multi_dropout_k=0)
-        with pytest.raises(ValueError):
             EncoderConfig(use_1d_position="both")
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("dropout_rate", 0.1, "dropout_rate value 0.1 is refused: dropout was removed"),
+        ("multi_dropout_k", 4, "multi_dropout_k value 4 is refused: dropout was removed"),
+        ("multi_dropout_k", 0, "multi_dropout_k value 0 is refused: dropout was removed"),
+        ("dropout_rate", True, "dropout_rate value True is not a finite number"),
+        ("dropout_rate", "1", "dropout_rate value '1' is not a finite number"),
+        ("multi_dropout_k", True, "multi_dropout_k value True is not an integer"),
+        ("multi_dropout_k", "1", "multi_dropout_k value '1' is not an integer"),
+    ])
+    def test_dropout_fields_take_only_their_off_value(self, field, value, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            EncoderConfig(**{field: value})
 
     @pytest.mark.parametrize("seed, problem", [
         (-2, "seed value -2 is below 0"), (0.0, "seed value 0.0 is not an integer"),
@@ -104,6 +111,9 @@ class TestEncoderConfig:
     def test_record_round_trip(self):
         cfg = EncoderConfig(use_1d_position="local", positional_residual=True, seed=9)
         assert EncoderConfig(**asdict(cfg)) == cfg
+        # Dropout is gone, but run configs and checkpoint headers keep its
+        # two fields at their off values, so older files still load.
+        assert asdict(cfg)["dropout_rate"] == 0.0 and asdict(cfg)["multi_dropout_k"] == 1
 
 
 def hidden_rows(doc, order, params):
@@ -397,22 +407,20 @@ class TestGridLoss:
                     checked += 1
 
     def test_group_equals_per_document_reference_loop(self, monkeypatch):
-        # Five documents in one group under dropout with K = 2 copies; the
-        # first has relation types with no positive cell. The reference runs
-        # each document as a group of its own and its grids one type at a
-        # time through the reference loss. Masks follow the same order; the
-        # sums over a group's stacked rows do not, so they agree to rounding.
-        cfg = small_config(dropout_rate=0.2, multi_dropout_k=2)
+        # Five documents in one group; the first has relation types with no
+        # positive cell. The reference runs each document as a group of its
+        # own and its grids one type at a time through the reference loss.
+        # The sums over a group's stacked rows run in another order, so the
+        # two agree to rounding.
+        cfg = small_config()
         types, insts = _five_instances("ner", cfg)
         assert not insts[0].target[0].any() and insts[0].target.any()
-        # Each copy is a repeated instance, so the group stacks K x words rows.
         words = sum(len(inst.features.ids) for inst in insts)
-        assert cfg.multi_dropout_k * words <= scorer_module._GROUP_ROWS
+        assert words <= scorer_module._GROUP_ROWS
         params = init_params(cfg, "ner", types)
 
         def run():
-            return task_loss_and_grad(params, insts, train_mode=True,
-                                      rng=np.random.default_rng(3))
+            return task_loss_and_grad(params, insts)
 
         def reference_flat_loss(s, pos, cells, want_grad=True):
             terms, ds, at = [], [], 0
@@ -483,10 +491,7 @@ def fd_check(task, config, docs, n_coords=120, fd_seed=0, step=1e-4, names=(), o
     params = init_params(config, task, docs[0].entity_types)
     orders = orders if orders is not None else [ocr_order(d) for d in docs]
     insts = [make_instance(d, o, task, config) for d, o in zip(docs, orders)]
-    mask_seed = 991
-    _, grads = task_loss_and_grad(
-        params, insts, train_mode=True, rng=np.random.default_rng(mask_seed)
-    )
+    _, grads = task_loss_and_grad(params, insts)
     gvec = grads_to_vector(params, grads)
     vec = params_to_vector(params)
     if names:
@@ -502,15 +507,9 @@ def fd_check(task, config, docs, n_coords=120, fd_seed=0, step=1e-4, names=(), o
     for i in idxs:
         shifted = vec.copy()
         shifted[i] += step
-        lp = task_loss(
-            vector_to_params(params, shifted), insts,
-            train_mode=True, rng=np.random.default_rng(mask_seed),
-        )
+        lp = task_loss(vector_to_params(params, shifted), insts)
         shifted[i] -= 2 * step
-        lm = task_loss(
-            vector_to_params(params, shifted), insts,
-            train_mode=True, rng=np.random.default_rng(mask_seed),
-        )
+        lm = task_loss(vector_to_params(params, shifted), insts)
         fd = (lp - lm) / (2 * step)
         worst = max(worst, abs(fd - gvec[i]) / max(1.0, abs(fd), abs(gvec[i])))
     return worst
@@ -520,10 +519,7 @@ class TestGradients:
     @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
     def test_finite_differences_all_tasks(self, task):
         docs = small_corpus()[:2]
-        cfg = small_config(
-            mlp_layers=2, dropout_rate=0.2, multi_dropout_k=3,
-            use_1d_position="global", positional_residual=True,
-        )
+        cfg = small_config(mlp_layers=2, use_1d_position="global", positional_residual=True)
         assert fd_check(task, cfg, docs) < 1e-4
 
     @pytest.mark.parametrize("task", ["bio", "ner"])
@@ -531,10 +527,7 @@ class TestGradients:
         # The layout residual and the BIO neighbour heads, coordinate by
         # coordinate, under a word order far from the identity.
         docs = small_corpus()[:2]
-        cfg = small_config(
-            mlp_layers=2, dropout_rate=0.2, multi_dropout_k=3,
-            use_1d_position="global", positional_residual=True,
-        )
+        cfg = small_config(mlp_layers=2, use_1d_position="global", positional_residual=True)
         rng = np.random.default_rng(12)
         orders = [InputOrder(tuple(int(i) for i in rng.permutation(d.n_words))) for d in docs]
         assert all(o.perm != tuple(range(len(o.perm))) for o in orders)
@@ -543,13 +536,12 @@ class TestGradients:
 
     def test_finite_differences_local_positions(self):
         docs = small_corpus()[:2]
-        cfg = small_config(use_1d_position="local", use_2d_position="segment",
-                           dropout_rate=0.0)
+        cfg = small_config(use_1d_position="local", use_2d_position="segment")
         assert fd_check("ner", cfg, docs) < 1e-4
 
     def test_saturated_instance_has_tiny_gradient(self):
         docs = small_corpus()[:1]
-        cfg = small_config(dropout_rate=0.0)
+        cfg = small_config()
         params = init_params(cfg, "ner", docs[0].entity_types)
         inst = make_instance(docs[0], ocr_order(docs[0]), "ner", cfg)
         # force saturation: replace targets by the sign of a huge margin
@@ -569,19 +561,6 @@ class TestGradients:
         loss2, grads2 = task_loss_and_grad(params2, [inst2])
         assert loss2 < 1e-10
         assert grads_to_vector(params2, grads2).max() < 1e-10
-
-    def test_k1_dropout0_equals_plain_path(self):
-        docs = small_corpus()[:2]
-        types = docs[0].entity_types
-        cfg_multi = small_config(dropout_rate=0.0, multi_dropout_k=1)
-        cfg_plain = small_config(dropout_rate=0.0, multi_dropout_k=4)
-        insts = [make_instance(d, ocr_order(d), "ner", cfg_multi) for d in docs]
-        p1 = init_params(cfg_multi, "ner", types)
-        p2 = init_params(cfg_plain, "ner", types)
-        l1, g1 = task_loss_and_grad(p1, insts, train_mode=True, rng=np.random.default_rng(0))
-        l2, g2 = task_loss_and_grad(p2, insts, train_mode=True, rng=np.random.default_rng(0))
-        assert l1 == l2
-        assert np.array_equal(grads_to_vector(p1, g1), grads_to_vector(p2, g2))
 
 
 class TestHeadWidth:
@@ -614,8 +593,7 @@ class TestHeadWidth:
     def test_one_wide_heads_pass_finite_differences(self):
         # T = hidden_dim: every head is a single column.
         docs = small_corpus(entity_types=4)[:2]
-        cfg = small_config(hidden_dim=4, dropout_rate=0.2, multi_dropout_k=2,
-                           use_1d_position="local")
+        cfg = small_config(hidden_dim=4, use_1d_position="local")
         assert fd_check("ner", cfg, docs) < 1e-4
 
     @pytest.mark.parametrize("task", ["el", "rop"])
@@ -641,11 +619,11 @@ def _five_instances(task, cfg):
     return picked[0].entity_types, [make_instance(d, o, task, cfg) for d, o in zip(picked, orders)]
 
 
-def _sequential_mean(params, instances, **kw):
+def _sequential_mean(params, instances):
     """Mean loss and gradient of one call per instance, summed in order."""
     loss, grads = 0.0, {k: np.zeros_like(v) for k, v in params.arrays.items()}
     for inst in instances:
-        li, gi = task_loss_and_grad(params, [inst], **kw)
+        li, gi = task_loss_and_grad(params, [inst])
         loss += li
         for k in grads:
             grads[k] += dense_grad(params, k, gi[k])
@@ -680,36 +658,6 @@ class TestBatchEngine:
         params = init_params(cfg, task, types)
         self.assert_same(params, task_loss_and_grad(params, insts),
                          _sequential_mean(params, insts))
-
-    @pytest.mark.parametrize("task", ["ner", "rop", "bio"])
-    def test_dropout_masks_are_drawn_document_by_document(self, task):
-        cfg = small_config(use_1d_position="global", dropout_rate=0.2, multi_dropout_k=3)
-        types, insts = _five_instances(task, cfg)
-        params = init_params(cfg, task, types)
-        got = task_loss_and_grad(params, insts, train_mode=True, rng=np.random.default_rng(3))
-        want = _sequential_mean(params, insts, train_mode=True, rng=np.random.default_rng(3))
-        self.assert_same(params, got, want)
-
-    @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
-    def test_copies_are_repeated_instances(self, task):
-        # K dropout copies run as the K = 1 batch of each instance repeated
-        # K times in a row: same masks, same groups, same bits.
-        cfg = small_config(dropout_rate=0.2, multi_dropout_k=3)
-        types, insts = _five_instances(task, cfg)
-        got = task_loss_and_grad(init_params(cfg, task, types), insts,
-                                 train_mode=True, rng=np.random.default_rng(3))
-        one = replace(cfg, multi_dropout_k=1)
-        want = task_loss_and_grad(init_params(one, task, types),
-                                  [inst for inst in insts for _ in range(3)],
-                                  train_mode=True, rng=np.random.default_rng(3))
-        assert got[0] == want[0]
-        assert got[1].keys() == want[1].keys()
-        for name, g in got[1].items():
-            if isinstance(g, RowGrad):
-                assert np.array_equal(g.rows, want[1][name].rows)
-                assert np.array_equal(g.values, want[1][name].values)
-            else:
-                assert np.array_equal(g, want[1][name])
 
 
 class TestRowGrad:
@@ -787,8 +735,7 @@ class TestRowGrad:
     def test_finite_differences_every_table_coordinate(self):
         # Every coordinate of both tables, read and unread rows alike.
         docs = small_corpus()[:2]
-        cfg = small_config(use_1d_position="local", use_2d_position="segment",
-                           dropout_rate=0.0)
+        cfg = small_config(use_1d_position="local", use_2d_position="segment")
         assert fd_check("ner", cfg, docs, names=("tok_emb", "pos1d_word")) < 1e-4
 
 
@@ -800,7 +747,7 @@ class TestScoringMatchesTraining:
         # Four documents of 6-10 words and a one-word document.
         one_word = gen_corpus(GenConfig(doc_count=1, words_per_doc=(1, 1), seed=4)).documents[0]
         docs = [*small_corpus(), one_word]
-        cfg = small_config(use_1d_position="global", dropout_rate=0.0)
+        cfg = small_config(use_1d_position="global")
         params = init_params(cfg, task, docs[0].entity_types)
         rng = np.random.default_rng(5)
         for doc in docs:
@@ -835,6 +782,29 @@ class TestScoringMatchesTraining:
         assert len(list(scorer_module._groups(insts))) == 1
         want = np.mean([self.scored_loss(*doc) for doc in docs])
         assert task_loss(params, insts) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestOrderLength:
+    """A document and an order meet in ``make_instance`` and
+    ``score_document``, so decoding and training refuse an order whose
+    length is not the document's, whatever reads the order."""
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("mode", ["none", "global", "local"])
+    @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
+    def test_order_of_another_length_refused(self, task, mode, extra):
+        doc = small_corpus()[0]
+        n = doc.n_words
+        order = InputOrder(tuple(range(n + extra)))
+        cfg = small_config(use_1d_position=mode)
+        params = init_params(cfg, task, doc.entity_types)
+        problem = f"doc {doc.id}: input order has {n + extra} positions, the document has {n} words"
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            make_instance(doc, order, task, cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            score_document(doc, order, params)
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            decode_document(doc, params, order=order)
 
 
 class TestCheckpoint:
@@ -880,6 +850,18 @@ class TestCheckpoint:
         assert sorted(loaded.arrays) == sorted(params.arrays)
         for name, arr in params.arrays.items():
             assert np.array_equal(loaded.arrays[name], arr)
+
+    def test_header_asking_for_dropout_refused(self, tmp_path):
+        # Headers keep the dropout fields; one that turns dropout on names a
+        # model this code cannot train or score, so it is a bad header.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(small_config(), "ner", ("q", "a")), str(path))
+        blob = path.read_bytes()
+        assert blob.count(b'"dropout_rate":0.0') == 1
+        path.write_bytes(blob.replace(b'"dropout_rate":0.0', b'"dropout_rate":0.1'))
+        with pytest.raises(ValueError, match=re.escape(
+                "bad checkpoint header: dropout_rate value 0.1 is refused: dropout was removed")):
+            load_checkpoint(str(path))
 
     def test_trailing_bytes_refused(self, tmp_path):
         path = tmp_path / "m.ckpt"

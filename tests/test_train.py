@@ -43,8 +43,7 @@ class TestTrain:
 
     def test_loss_drops_on_separable_toy_corpus(self):
         docs = toy_docs(10)
-        cfg = EncoderConfig(hidden_dim=32, vocab_buckets=256,
-                            dropout_rate=0.0, multi_dropout_k=1, seed=0)
+        cfg = EncoderConfig(hidden_dim=32, vocab_buckets=256, seed=0)
         params, log = train(
             docs, "ner", cfg,
             Hyper(lr=0.15, steps=500, batch_size=10, warmup_fraction=0.1,
@@ -64,8 +63,7 @@ class TestTrain:
 
     def test_divergence_aborts_with_last_good_params(self):
         docs = toy_docs(6)
-        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64,
-                            dropout_rate=0.0, multi_dropout_k=1, seed=3)
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=3)
         params, log = train(docs, "ner", cfg,
                             Hyper(lr=1e9, steps=50, batch_size=6))
         assert log.aborted
@@ -83,8 +81,7 @@ class TestTrain:
         docs = toy_docs(6)
         stored = [shuffle_order(d, 100 + i) for i, d in enumerate(docs)]
         docs = [replace_order(d, o) for d, o in zip(docs, stored)]
-        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="global",
-                            dropout_rate=0.0, multi_dropout_k=1, seed=5)
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="global", seed=5)
         _, log = train(docs, task, cfg, Hyper(steps=1, batch_size=len(docs)))
         init = init_params(cfg, task, docs[0].entity_types)
 
@@ -113,9 +110,7 @@ class TestTrain:
 
     def test_bio_task_trains(self):
         docs = toy_docs(8)
-        cfg = EncoderConfig(hidden_dim=16, vocab_buckets=128,
-                            use_1d_position="global", dropout_rate=0.0,
-                            multi_dropout_k=1, seed=2)
+        cfg = EncoderConfig(hidden_dim=16, vocab_buckets=128, use_1d_position="global", seed=2)
         params, log = train(docs, "bio", cfg,
                             Hyper(lr=0.3, steps=300, batch_size=8, warmup_fraction=0.1))
         assert not log.aborted
@@ -124,8 +119,7 @@ class TestTrain:
     def test_one_wide_pair_heads_train(self):
         # As many entity types as hidden units: each pair head is one wide.
         docs = small_corpus(entity_types=4)
-        cfg = EncoderConfig(hidden_dim=4, vocab_buckets=64, use_1d_position="local",
-                            dropout_rate=0.2, multi_dropout_k=2, seed=3)
+        cfg = EncoderConfig(hidden_dim=4, vocab_buckets=64, use_1d_position="local", seed=3)
         params, log = train(docs, "ner", cfg, Hyper(lr=0.05, steps=60, batch_size=4))
         assert params.arrays["qk_w"].shape == (4, 2, 4, 1)
         assert not log.aborted
@@ -133,8 +127,7 @@ class TestTrain:
 
     def test_log_holds_pre_clip_norms_and_clip_count(self):
         docs = toy_docs(6)
-        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, dropout_rate=0.0,
-                            multi_dropout_k=1, seed=4)
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=4)
         clip = 1.5
         hyper = Hyper(lr=0.2, steps=12, batch_size=4, warmup_fraction=0.25,
                       weight_decay=1e-3, max_grad_norm=clip)
@@ -144,8 +137,7 @@ class TestTrain:
         # and its clip's; every row decays, and its rows take the step.
         hand = init_params(cfg, "ner", docs[0].entity_types)
         insts = [make_instance(d, ocr_order(d), "ner", cfg) for d in docs]
-        batch_rng, _, drop_rng = (np.random.default_rng(s)
-                                  for s in np.random.SeedSequence(cfg.seed).spawn(3))
+        batch_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         norms, clipped = [], 0
         while len(norms) < hyper.steps:
             perm = batch_rng.permutation(len(docs))
@@ -153,7 +145,7 @@ class TestTrain:
                 if len(norms) == hyper.steps:
                     break
                 batch = [insts[i] for i in perm[lo : lo + hyper.batch_size]]
-                _, grads = task_loss_and_grad(hand, batch, train_mode=True, rng=drop_rng)
+                _, grads = task_loss_and_grad(hand, batch)
                 values = {k: g.values if isinstance(g, RowGrad) else g for k, g in grads.items()}
                 norm = np.sqrt(sum(float((v * v).sum()) for v in values.values()))
                 norms.append(float(norm))
@@ -183,8 +175,7 @@ class TestTrain:
         # that no word read is its initial value times (1 - lr * weight_decay),
         # bit for bit; a row that a word read also takes a gradient step.
         docs = toy_docs(4)
-        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="local",
-                            dropout_rate=0.0, multi_dropout_k=1, seed=4)
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="local", seed=4)
         hyper = Hyper(lr=0.1, steps=1, batch_size=len(docs), weight_decay=0.01)
         params, log = train(docs, "ner", cfg, hyper)
         start = init_params(cfg, "ner", docs[0].entity_types)
