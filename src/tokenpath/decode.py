@@ -60,12 +60,14 @@ def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> lis
     mean edge score and capped at ``max_entities``. ``+inf`` cells are
     edges like any other.
 
-    Raises ``ValueError`` if the grids hold NaN cells.
+    Raises ``ValueError`` if the grids hold NaN cells; grids of no words hold no entity.
     """
     if scores.ndim != 3 or scores.shape[1] != scores.shape[2]:
         raise ValueError(f"expected (types, n, n) scores, got {scores.shape}")
     _reject_nan(scores, "ner grid")
     n_types, n = scores.shape[:2]
+    if not n:
+        return []
     off = scores.copy()
     diag = np.arange(n)
     off[:, diag, diag] = -np.inf
@@ -106,10 +108,12 @@ def ner_decode(scores: np.ndarray, config: DecodeConfig = DecodeConfig()) -> lis
     return out
 
 
+@np.errstate(invalid="ignore")  # the mean of a block with +inf and -inf is NaN
 def el_decode(scores: np.ndarray, entities: Sequence[Entity]) -> list[tuple[int, int]]:
     """Mean-logit linking: entity A links to B iff the mean score over all
     (token of A, token of B) pairs is strictly positive. Returns index pairs
-    into ``entities``.
+    into ``entities``. A block that holds both ``+inf`` and ``-inf`` has no
+    mean and does not link.
 
     Raises ``ValueError`` if the grid holds NaN cells.
     """

@@ -237,22 +237,24 @@ def featurize(doc: Document, config: EncoderConfig) -> DocFeatures:
     return DocFeatures(ids=ids, phi=box_features(boxes, doc.page_width, doc.page_height), seg_of=seg_of)
 
 
-def _rank_indices(feats: Sequence[DocFeatures], orders: Sequence[InputOrder], mode: str):
-    """The 1D position index of each word of the documents stacked in order:
-    its rank along its document's order for "global", else its rank inside
-    its run of consecutive same-segment words along that order."""
-    sizes = [len(f.ids) for f in feats]
-    starts = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    # Stacked position p holds stacked word perm[p]. A run starts at each
-    # document's first position and, for "local", where the segment changes.
-    perm = np.concatenate([np.asarray(o.perm, dtype=np.int64) for o in orders]) + starts
-    first = np.diff(starts, prepend=-1) != 0
-    if mode == "local":
-        first |= np.diff(np.concatenate([f.seg_of for f in feats])[perm], prepend=-1) != 0
-    run_starts = np.flatnonzero(first)
-    idx = np.empty_like(perm)
-    idx[perm] = np.arange(len(perm)) - np.repeat(run_starts, np.diff(run_starts, append=len(perm)))
-    return idx
+def _ranks(doc: Document, feats: DocFeatures, order: InputOrder, mode: str):
+    """Each word's row in ``mode``'s 1D position table: its rank along
+    ``order`` for "global", inside its run of same-segment words for "local";
+    None for "none". Refuses an order of another length and a rank past it."""
+    if len(order) != doc.n_words:
+        raise ValueError(f"doc {doc.id}: input order has {len(order)} positions, "
+                         f"the document has {doc.n_words} words")
+    if _1D_TABLES[mode] is None:
+        return None
+    # Position p holds word perm[p]. For "local", a run starts at each segment change.
+    perm = np.asarray(order.perm)
+    pos = np.arange(len(perm))
+    first = np.diff(feats.seg_of[perm], prepend=-1) != 0 if mode == "local" else pos == 0
+    ranks = (pos - np.maximum.accumulate(np.where(first, pos, 0)))[np.asarray(order.inverse())]
+    if ranks.max(initial=-1) >= MAX_SEQUENCE:
+        raise ValueError(f"doc {doc.id}: {mode} 1D position {ranks.max()} is past the "
+                         f"{MAX_SEQUENCE}-row table: max sequence is {MAX_SEQUENCE}")
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -261,43 +263,28 @@ def _rank_indices(feats: Sequence[DocFeatures], orders: Sequence[InputOrder], mo
 # Training stacks the rows of several documents, in document order, and runs
 # the encoder, the task head (``_head_forward``) and their backward products
 # once on the stack; decoding (``score_document``) runs the same functions on
-# one document. Only the pair-score products and their gradients run per
-# document, since each document's grid has its own size. Sums over rows then
-# run in another order than for a document alone, so a batch gives the mean
-# of its documents' losses and gradients up to float64 rounding, not bit for
-# bit.
+# one document. The 1D table rows are each document's ``_ranks``, stored in
+# its ``TaskInstance`` or built by ``score_document``. Only the pair-score
+# products and their gradients run per document. Sums over rows then run in
+# another order than for a document alone, so a batch gives the mean of its
+# documents' losses and gradients up to float64 rounding, not bit for bit.
 
 
-def _pos1d_rows(params: ModelParams, feats: Sequence[DocFeatures], orders: Sequence[InputOrder]):
-    """(table name, row index per stacked word) of the config's 1D position
-    table; None for an order-free config."""
-    mode = params.config.use_1d_position
-    if _1D_TABLES[mode] is None:
-        return None
-    idx = _rank_indices(feats, orders, mode)
-    top = int(idx.max(initial=-1))
-    if top >= MAX_SEQUENCE:
-        raise ValueError(f"{mode} 1D position {top} is past the {MAX_SEQUENCE}-row "
-                         f"table: max sequence is {MAX_SEQUENCE}")
-    return _1D_TABLES[mode], idx
-
-
-def _encoder_forward(
-    feats: Sequence[DocFeatures], orders: Sequence[InputOrder], params: ModelParams
-):
-    """Hidden states of the documents' words stacked in document order,
-    plus what the backward pass reads: (ids, phi, activations, 1D rows)."""
+def _encoder_forward(feats: Sequence[DocFeatures], ranks: Sequence, params: ModelParams):
+    """Hidden states of the documents' words stacked in document order, from
+    each document's features and 1D table rows (``_ranks``), plus what the
+    backward pass reads: (ids, phi, activations, 1D rows)."""
     cfg = params.config
     a = params.arrays
     ids = np.concatenate([f.ids for f in feats])
     phi = np.concatenate([f.phi for f in feats])
-    pos1d = _pos1d_rows(params, feats, orders)
+    table = _1D_TABLES[cfg.use_1d_position]
+    pos1d = (table, np.concatenate(ranks)) if table else None
     layout = phi @ a["pos2d_w"]
     x = a["tok_emb"][ids]
     x += layout
     if pos1d:
-        name, idx = pos1d
-        p1 = a[name][idx]
+        p1 = a[table][pos1d[1]]
         x += p1
     acts = [x]
     for l in range(cfg.mlp_layers):
@@ -362,12 +349,6 @@ def _head_forward(params: ModelParams, rows: np.ndarray, blocks, orders: Sequenc
     return s, (qk, at)
 
 
-def _check_order(doc: Document, order: InputOrder) -> None:
-    if len(order) != doc.n_words:
-        raise ValueError(f"doc {doc.id}: input order has {len(order)} positions, "
-                         f"the document has {doc.n_words} words")
-
-
 def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.ndarray:
     """Model output for one document: the training forward of
     ``_run_group`` on the document alone.
@@ -377,13 +358,13 @@ def score_document(doc: Document, order: InputOrder, params: ModelParams) -> np.
     bio:    (n, n_tags) classification logits per word, each read from the
             word and its neighbours along ``order``.
 
-    Only the 1D position table caps the length: a rank of ``MAX_SEQUENCE``
-    or more raises ``ValueError``, so "global" takes documents of at most
-    that many words and "local" segments of at most that many. An order
-    whose length is not the document's word count raises ``ValueError`` too.
+    ``_ranks`` refuses an order of another length than the document, and a
+    rank of ``MAX_SEQUENCE`` or more: only the 1D table caps the length, at
+    that many words of a document for "global" and of a segment for "local".
     """
-    _check_order(doc, order)
-    h, _ = _encoder_forward([featurize(doc, params.config)], [order], params)
+    feats = featurize(doc, params.config)
+    ranks = _ranks(doc, feats, order, params.config.use_1d_position)
+    h, _ = _encoder_forward([feats], [ranks], params)
     rows, _ = _head_input(h, np.array([0, len(h)]), params)
     out, _ = _head_forward(params, rows, [(0, len(rows))], [order])
     if not params.n_relations:
@@ -469,7 +450,8 @@ def _softmax_ce_grad(logits: np.ndarray, targets: np.ndarray, weights: np.ndarra
 
 @dataclass
 class TaskInstance:
-    """One document prepared for one task: features, order, and targets.
+    """One document prepared for one task and encoder config: features,
+    order, the config's 1D table rows (``_ranks``), and targets.
 
     ``target`` is (T, n, n) bool for ner/el, (1, n+1, n+1) bool for rop, and a
     (n,) int tag-id vector for bio. Grid targets are in word-index space,
@@ -478,6 +460,7 @@ class TaskInstance:
 
     features: DocFeatures
     order: InputOrder
+    ranks: np.ndarray | None
     target: np.ndarray
 
 
@@ -488,12 +471,12 @@ def make_instance(
     params_config: EncoderConfig,
     features: DocFeatures | None = None,
 ) -> TaskInstance:
-    _check_order(doc, order)
     feats = features if features is not None else featurize(doc, params_config)
+    ranks = _ranks(doc, feats, order, params_config.use_1d_position)
     row = _task(task)
     if row.reading_order and doc.gold_order is None:
         raise ValueError(f"doc {doc.id} has no gold order; cannot build {task} target")
-    return TaskInstance(features=feats, order=order, target=row.target(doc, order))
+    return TaskInstance(feats, order, ranks, row.target(doc, order))
 
 
 def task_loss_and_grad(params: ModelParams, instances: Sequence[TaskInstance]):
@@ -601,7 +584,7 @@ def _run_group(params, instances, grads):
     n_rel = params.n_relations
     starts = np.cumsum([0] + [len(inst.features.ids) for inst in instances])
     h, (ids, phi, acts, pos1d) = _encoder_forward(
-        [inst.features for inst in instances], [inst.order for inst in instances], params)
+        [inst.features for inst in instances], [inst.ranks for inst in instances], params)
     rows, offsets = _head_input(h, starts, params)
     ms = np.diff(offsets)
     blocks = list(zip(offsets[:-1].tolist(), ms.tolist()))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from tokenpath.datagen import shuffle_order
 from tokenpath.decode import Prediction, decode_document
 from tokenpath.metrics import dataset_stats
 from tokenpath.scorer import TASKS, EncoderConfig, init_params, save_checkpoint
+
+from .test_scorer import long_doc
 
 
 def run(args):
@@ -647,6 +650,21 @@ class TestPipeline:
         assert rec["error"].startswith(f"document {bad.id}: {task} grid has ")
         assert rec["error"].endswith(" NaN cells")
         assert not (tmp_path / "p").exists()
+
+    def test_train_names_a_page_past_the_1d_table(self, tmp_path, corpus_dir, capsys):
+        corpus = load_corpus(str(corpus_dir))
+        page = replace(long_doc(559), id="page-559", entity_types=corpus.entity_types)
+        splits = {**corpus.splits, "train": (*corpus.splits["train"], page.id)}
+        save_corpus(Corpus((*corpus.documents, page), splits), str(tmp_path / "long"))
+        encoder = {**FAST_MODEL["encoder"], "use_1d_position": "global"}
+        cfg = write_config(tmp_path / "cfg.json", {**FAST_MODEL, "encoder": encoder})
+        argv = ["train", "--task", "ner", "--corpus", tmp_path / "long", "--config", cfg,
+                "--out", tmp_path / "m"]
+        assert run(argv) == 2
+        rec = last_error(capsys)
+        assert rec["kind"] == "ValueError"
+        assert rec["error"].startswith("doc page-559: global 1D position 558 is past the ")
+        assert not (tmp_path / "m").exists()
 
     def test_eval_scores_each_document_on_its_own(self, tmp_path, corpus_dir):
         # Each test document is given the gold entities of the next one that

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,11 @@ class TestNerDecode:
         with pytest.raises(ValueError, match="1 NaN cells"):
             ner_decode(s)
 
+    @pytest.mark.parametrize("types", [0, 1, 3])
+    def test_no_token(self, types):
+        # Grids of no words hold no entity, as rop_decode's path is empty.
+        assert ner_decode(np.zeros((types, 0, 0))) == []
+
 
 class TestElDecode:
     def test_mean_logit_hand_case(self):
@@ -298,6 +304,17 @@ class TestElDecode:
     def test_zero_mean_is_unlinked(self):
         s = np.zeros((3, 3))
         assert el_decode(s, [Entity(0, (0, 1)), Entity(1, (2,))]) == []
+
+    def test_block_of_both_infinities_has_no_mean_and_is_unlinked(self):
+        # +inf and -inf in one block: no mean, so no link, and no warning.
+        s = np.full((3, 3), 5.0)
+        s[0, 2], s[1, 2] = np.inf, -np.inf
+        ents = [Entity(0, (0, 1)), Entity(1, (2,))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert el_decode(s, ents) == [(1, 0)]
+        s[1, 2] = 0.0
+        assert el_decode(s, ents) == [(0, 1), (1, 0)]
 
     def test_oracle_recovers_gold_links(self):
         corpus = gen_corpus(GenConfig(doc_count=30, link_prob=0.8, seed=33))

@@ -118,8 +118,9 @@ class TestEncoderConfig:
 
 def hidden_rows(doc, order, params):
     """The encoder's hidden states of one document; row i belongs to word i."""
-    h, _ = scorer_module._encoder_forward([featurize(doc, params.config)], [order], params)
-    return h
+    feats = featurize(doc, params.config)
+    ranks = scorer_module._ranks(doc, feats, order, params.config.use_1d_position)
+    return scorer_module._encoder_forward([feats], [ranks], params)[0]
 
 
 class TestEncode:
@@ -180,13 +181,16 @@ class TestEncode:
     def test_max_sequence_enforced(self):
         # One segment of 512 words fills the table and the 513th word's rank
         # is refused: in the document for "global", in the segment for
-        # "local".
+        # "local". Building an instance refuses the document by name too.
         fits, doc = long_doc(MAX_SEQUENCE), long_doc(MAX_SEQUENCE + 1)
         for mode in ("global", "local"):
             params = init_params(small_config(use_1d_position=mode), "el", doc.entity_types)
             assert score_document(fits, ocr_order(fits), params).shape == (1, MAX_SEQUENCE, MAX_SEQUENCE)
-            with pytest.raises(ValueError, match="max sequence"):
+            problem = f"doc t: {mode} 1D position 512 is past the 512-row table: max sequence is 512"
+            with pytest.raises(ValueError, match=f"^{problem}$"):
                 score_document(doc, InputOrder(tuple(range(doc.n_words))), params)
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                make_instance(doc, ocr_order(doc), "el", params.config)
 
     @pytest.mark.parametrize("task", ["ner", "rop"])
     def test_local_positions_cap_segments_not_documents(self, task):
@@ -308,16 +312,16 @@ class TestLocalPositions:
     def test_rank_inside_each_run_of_a_segment(self):
         doc = seven_word_doc()  # segments [0, 1, 2], [3, 4, 5], [6]
         feats = featurize(doc, small_config())
-        ranks = scorer_module._rank_indices
-        assert ranks([feats], [ocr_order(doc)], "local").tolist() == [0, 1, 2, 0, 1, 2, 0]
+
+        def ranks(order, mode):
+            return scorer_module._ranks(doc, feats, order, mode)
+
+        assert ranks(ocr_order(doc), "local").tolist() == [0, 1, 2, 0, 1, 2, 0]
         # A segment split by the order restarts its count in each run.
         order = InputOrder((0, 3, 1, 2, 6, 5, 4))
-        assert ranks([feats], [order], "local").tolist() == [0, 0, 1, 0, 1, 0, 0]
-        assert ranks([feats], [order], "global").tolist() == [0, 2, 3, 1, 6, 5, 4]
-        # Stacked documents count from 0 each, also when one's last segment
-        # is the next one's first.
-        two = ranks([feats, feats], [order, InputOrder((3, 4, 5, 0, 1, 2, 6))], "local")
-        assert two.tolist() == [0, 0, 1, 0, 1, 0, 0] + [0, 1, 2, 0, 1, 2, 0]
+        assert ranks(order, "local").tolist() == [0, 0, 1, 0, 1, 0, 0]
+        assert ranks(order, "global").tolist() == [0, 2, 3, 1, 6, 5, 4]
+        assert ranks(order, "none") is None
 
     @pytest.mark.parametrize("task", ["ner", "rop"])
     def test_local_segment_grids_ignore_segment_order(self, task):
@@ -740,14 +744,16 @@ class TestRowGrad:
 
 
 class TestScoringMatchesTraining:
-    """Decoding scores and the training loss read the same task head."""
+    """Decoding scores and the training loss read the same task head, and
+    under every 1D mode, an instance's stored ranks are those that
+    ``score_document`` builds."""
 
     @staticmethod
-    def instances(task):
+    def instances(task, mode):
         # Four documents of 6-10 words and a one-word document.
         one_word = gen_corpus(GenConfig(doc_count=1, words_per_doc=(1, 1), seed=4)).documents[0]
         docs = [*small_corpus(), one_word]
-        cfg = small_config(use_1d_position="global")
+        cfg = small_config(use_1d_position=mode)
         params = init_params(cfg, task, docs[0].entity_types)
         rng = np.random.default_rng(5)
         for doc in docs:
@@ -766,28 +772,31 @@ class TestScoringMatchesTraining:
 
     @pytest.mark.parametrize("task", ["ner", "el", "rop"])
     def test_grid_loss_of_scores_is_the_training_loss(self, task):
-        for params, doc, order, inst in self.instances(task):
-            assert self.scored_loss(params, doc, order, inst) == task_loss(params, [inst])
+        for mode in ("none", "global", "local"):
+            for params, doc, order, inst in self.instances(task, mode):
+                assert self.scored_loss(params, doc, order, inst) == task_loss(params, [inst])
 
     def test_bio_cross_entropy_of_logits_is_the_training_loss(self):
-        for params, doc, order, inst in self.instances("bio"):
-            ce = self.scored_loss(params, doc, order, inst)
-            assert ce == pytest.approx(task_loss(params, [inst]), rel=1e-12, abs=0.0)
+        for mode in ("none", "global", "local"):
+            for params, doc, order, inst in self.instances("bio", mode):
+                ce = self.scored_loss(params, doc, order, inst)
+                assert ce == pytest.approx(task_loss(params, [inst]), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("task", ["ner", "el", "rop", "bio"])
     def test_group_loss_is_the_mean_of_scored_losses(self, task):
         # All five documents run as one stacked group.
-        docs = list(self.instances(task))
-        params, insts = docs[0][0], [inst for *_, inst in docs]
-        assert len(list(scorer_module._groups(insts))) == 1
-        want = np.mean([self.scored_loss(*doc) for doc in docs])
-        assert task_loss(params, insts) == pytest.approx(want, rel=1e-12, abs=0.0)
+        for mode in ("none", "global", "local"):
+            docs = list(self.instances(task, mode))
+            params, insts = docs[0][0], [inst for *_, inst in docs]
+            assert len(list(scorer_module._groups(insts))) == 1
+            want = np.mean([self.scored_loss(*doc) for doc in docs])
+            assert task_loss(params, insts) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestOrderLength:
-    """A document and an order meet in ``make_instance`` and
-    ``score_document``, so decoding and training refuse an order whose
-    length is not the document's, whatever reads the order."""
+    """A document and an order meet in ``_ranks``, which ``make_instance``
+    and ``score_document`` call, so decoding and training refuse an order
+    whose length is not the document's, whatever reads the order."""
 
     @pytest.mark.parametrize("extra", [-1, 1])
     @pytest.mark.parametrize("mode", ["none", "global", "local"])

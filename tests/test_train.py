@@ -1,4 +1,5 @@
-from dataclasses import asdict
+import importlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tokenpath.scorer import (
 )
 from tokenpath.train import Hyper, TrainLog, train
 
-from .test_scorer import params_to_vector, small_corpus
+from .test_scorer import long_doc, params_to_vector, small_corpus
 
 
 def toy_docs(n=10, seed=1, **kw):
@@ -95,9 +96,21 @@ class TestTrain:
         for s, o in zip(losses_under(stored), losses_under([ocr_order(d) for d in docs])):
             assert s != pytest.approx(o, rel=1e-6)
 
-    def test_rop_requires_gold_order(self):
-        from dataclasses import replace
+    def test_page_past_the_1d_table_refused_before_a_step(self, monkeypatch):
+        # The 559-word page is refused, by name, while the instances are
+        # built, before the first batch that holds it.
+        docs = toy_docs(4)
+        page = replace(long_doc(559), id="page-559", entity_types=docs[0].entity_types)
+        steps = []
+        train_module = importlib.import_module("tokenpath.train")
+        monkeypatch.setattr(train_module, "task_loss_and_grad", lambda *a: steps.append(a))
+        cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, use_1d_position="global", seed=1)
+        problem = "doc page-559: global 1D position 558 is past the 512-row table"
+        with pytest.raises(ValueError, match=f"^{problem}: max sequence is 512$"):
+            train([*docs, page], "ner", cfg, Hyper(steps=3, batch_size=2))
+        assert steps == []
 
+    def test_rop_requires_gold_order(self):
         docs = [replace(d, gold_order=None) for d in toy_docs(3)]
         cfg = EncoderConfig(hidden_dim=8, vocab_buckets=64, seed=1)
         with pytest.raises(ValueError, match="gold order"):
